@@ -151,6 +151,13 @@ pub struct SsdEnv {
     pub(crate) gc_page_scratch: Vec<(Ppn, u32)>,
     /// Scratch for the (LPN, new PPN) pairs a data-block collection moves.
     pub(crate) gc_moved_scratch: Vec<(Lpn, Ppn)>,
+    /// Scratch for the (LPN, new PPN) updates an FTL still has to write
+    /// to translation pages (GC misses, ZFTL's reserve flush), fed to
+    /// [`crate::ftl::for_each_vtpn_batch`].
+    pub(crate) update_scratch: Vec<(Lpn, Ppn)>,
+    /// Scratch for one translation page's `(offset, PPN)` batch, owned by
+    /// [`crate::ftl::for_each_vtpn_batch`].
+    pub(crate) batch_scratch: Vec<(u16, Ppn)>,
     /// Write-temperature estimator routing host writes to data streams.
     heat: HeatTracker,
 }
@@ -176,6 +183,8 @@ impl SsdEnv {
             tp_scratch: Vec::new(),
             gc_page_scratch: Vec::new(),
             gc_moved_scratch: Vec::new(),
+            update_scratch: Vec::new(),
+            batch_scratch: Vec::new(),
             heat: HeatTracker::new(config.logical_pages(), config.streams.get() as usize),
             config,
             flash,
@@ -364,10 +373,40 @@ impl SsdEnv {
     /// Invalidates a superseded page and re-indexes its block for GC.
     pub fn invalidate_page(&mut self, ppn: Ppn) -> Result<()> {
         self.flash.invalidate(ppn)?;
+        self.reindex_invalidated(ppn)
+    }
+
+    /// Re-indexes the block of just-invalidated page `ppn` for GC.
+    fn reindex_invalidated(&mut self, ppn: Ppn) -> Result<()> {
         let block = self.flash.geometry().block_of(ppn);
         let valid = self.flash.valid_pages_in(block)?;
         self.blocks.on_invalidated(block, valid);
         Ok(())
+    }
+
+    /// Moves translation page `vtpn` from its current copy `old` to a
+    /// fresh translation page with `updates` patched in, and supersedes
+    /// `old` — the write half of every translation read-modify-write and
+    /// of translation-block GC. The flash model programs the new copy
+    /// before it invalidates `old` (so a power loss never leaves the table
+    /// without a valid copy; recovery picks the newer copy by
+    /// program-sequence stamp), and the payload stays in place: `old`'s
+    /// slab slot is handed to the new page, so nothing is copied or
+    /// allocated. The caller accounts the read of `old`.
+    pub(crate) fn rewrite_translation(
+        &mut self,
+        vtpn: Vtpn,
+        old: Ppn,
+        updates: &[(u16, Ppn)],
+        purpose: OpPurpose,
+    ) -> Result<()> {
+        let new_ppn = self
+            .blocks
+            .alloc_page(AllocClass::Translation, &self.flash)?;
+        self.flash
+            .rewrite_translation_page(new_ppn, vtpn, old, updates, purpose)?;
+        self.gtd.set(vtpn, new_ppn);
+        self.reindex_invalidated(old)
     }
 
     // ---- Translation-page operations ----------------------------------------
@@ -437,9 +476,9 @@ impl SsdEnv {
     /// `T_fr + T_fw` (plus the first-write case with no prior page). This
     /// is the writeback path of DFTL/TPFTL dirty entries and of GC misses.
     ///
-    /// The payload never surfaces: the flash model copies it slab-slot to
-    /// slab-slot with `updates` patched in, so the steady-state writeback
-    /// performs exactly one page-sized copy and no allocation.
+    /// The payload never surfaces: the flash model hands the old page's
+    /// slab slot to the new page and patches `updates` in place, so the
+    /// steady-state writeback copies nothing and allocates nothing.
     pub fn update_translation_page(
         &mut self,
         vtpn: Vtpn,
@@ -471,18 +510,7 @@ impl SsdEnv {
                         tpftl_flash::FlashError::NotATranslationPage(old),
                     ));
                 }
-                // Program the replacement before invalidating the old copy,
-                // so a power loss between the two steps never leaves the
-                // table without a valid copy of this translation page (crash
-                // recovery then picks the newer copy by program-sequence
-                // stamp).
-                let new_ppn = self
-                    .blocks
-                    .alloc_page(AllocClass::Translation, &self.flash)?;
-                self.flash
-                    .program_translation_page_from(new_ppn, vtpn, old, updates, purpose)?;
-                self.gtd.set(vtpn, new_ppn);
-                self.invalidate_page(old)?;
+                self.rewrite_translation(vtpn, old, updates, purpose)?;
             }
             None => {
                 let mut payload = std::mem::take(&mut self.tp_scratch);
@@ -556,6 +584,8 @@ impl SsdEnv {
             tp_scratch: Vec::new(),
             gc_page_scratch: Vec::new(),
             gc_moved_scratch: Vec::new(),
+            update_scratch: Vec::new(),
+            batch_scratch: Vec::new(),
             // The temperature estimator is volatile: every mount starts
             // cold and re-learns, so streams carry no recovery obligations.
             heat: HeatTracker::new(config.logical_pages(), config.streams.get() as usize),

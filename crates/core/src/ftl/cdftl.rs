@@ -18,7 +18,7 @@ use crate::hash::FxHashMap;
 use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::{group_by_vtpn, AccessCtx, Ftl, TpDistEntry};
+use crate::ftl::{for_each_vtpn_batch, AccessCtx, Ftl, TpDistEntry};
 use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
 
@@ -214,7 +214,8 @@ impl Ftl for Cdftl {
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
         let mut hits = 0u64;
-        let mut misses: Vec<(Lpn, Ppn)> = Vec::new();
+        let mut misses = std::mem::take(&mut env.update_scratch);
+        misses.clear();
         for &(lpn, new_ppn) in moved {
             if let Some(&idx) = self.cmt_map.get(&lpn) {
                 let e = self.cmt.get_mut(idx).expect("mapped handle");
@@ -229,10 +230,11 @@ impl Ftl for Cdftl {
                 misses.push((lpn, new_ppn));
             }
         }
-        for (vtpn, updates) in group_by_vtpn(env, &misses) {
-            env.update_translation_page(vtpn, &updates, OpPurpose::GcTranslation)?;
-        }
-        Ok(hits)
+        let res = for_each_vtpn_batch(env, &mut misses, |env, vtpn, updates| {
+            env.update_translation_page(vtpn, updates, OpPurpose::GcTranslation)
+        });
+        env.update_scratch = misses;
+        res.map(|()| hits)
     }
 
     fn cache_bytes_used(&self) -> usize {

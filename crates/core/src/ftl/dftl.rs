@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use tpftl_flash::{Lpn, OpPurpose, Ppn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::{group_by_vtpn, AccessCtx, Ftl, TpDistEntry};
+use crate::ftl::{for_each_vtpn_batch, AccessCtx, Ftl, TpDistEntry};
 use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
 
@@ -177,7 +177,8 @@ impl Ftl for Dftl {
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
         let mut hits = 0u64;
-        let mut misses: Vec<(Lpn, Ppn)> = Vec::new();
+        let mut misses = std::mem::take(&mut env.update_scratch);
+        misses.clear();
         for &(lpn, new_ppn) in moved {
             if let Some(e) = self.get_mut(lpn) {
                 e.ppn = new_ppn;
@@ -189,10 +190,11 @@ impl Ftl for Dftl {
         }
         // DFTL's batch update: one translation-page update per victim block
         // and translation page.
-        for (vtpn, updates) in group_by_vtpn(env, &misses) {
-            env.update_translation_page(vtpn, &updates, OpPurpose::GcTranslation)?;
-        }
-        Ok(hits)
+        let res = for_each_vtpn_batch(env, &mut misses, |env, vtpn, updates| {
+            env.update_translation_page(vtpn, updates, OpPurpose::GcTranslation)
+        });
+        env.update_scratch = misses;
+        res.map(|()| hits)
     }
 
     fn cache_bytes_used(&self) -> usize {

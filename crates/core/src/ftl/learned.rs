@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 use tpftl_flash::{Lpn, OpPurpose, PageState, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::{group_by_vtpn, AccessCtx, Ftl, TpDistEntry};
+use crate::ftl::{for_each_vtpn_batch, AccessCtx, Ftl, TpDistEntry};
 use crate::hash::FxHashMap;
 use crate::lru::LruList;
 use crate::{FtlError, Result, SsdConfig};
@@ -432,7 +432,8 @@ impl Ftl for LearnedFtl {
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
         let mut hits = 0u64;
-        let mut misses: Vec<(Lpn, Ppn)> = Vec::new();
+        let mut misses = std::mem::take(&mut env.update_scratch);
+        misses.clear();
         for &(lpn, new_ppn) in moved {
             self.split_covering(env.vtpn_of(lpn), env.offset_of(lpn));
             if let Some(&idx) = self.map.get(&lpn) {
@@ -444,14 +445,16 @@ impl Ftl for LearnedFtl {
                 misses.push((lpn, new_ppn));
             }
         }
-        for (vtpn, updates) in group_by_vtpn(env, &misses) {
-            env.update_translation_page(vtpn, &updates, OpPurpose::GcTranslation)?;
+        let res = for_each_vtpn_batch(env, &mut misses, |env, vtpn, updates| {
+            env.update_translation_page(vtpn, updates, OpPurpose::GcTranslation)?;
             // The freshly persisted page is the fitting opportunity: GC
             // lays migrated pages out near-contiguously, exactly the
             // pattern the segments capture.
             self.refit(env, vtpn);
-        }
-        Ok(hits)
+            Ok(())
+        });
+        env.update_scratch = misses;
+        res.map(|()| hits)
     }
 
     fn after_bootstrap(&mut self, env: &mut SsdEnv) -> Result<()> {

@@ -1,7 +1,5 @@
 //! The FTL abstraction and the concrete page-level FTLs.
 
-use std::collections::BTreeMap;
-
 use tpftl_flash::{Lpn, Ppn, Vtpn};
 
 use crate::env::SsdEnv;
@@ -277,23 +275,54 @@ const _: () = {
     assert_send::<Box<dyn Ftl + Send>>();
 };
 
-/// Groups GC mapping updates by translation page, in deterministic VTPN
-/// order — the batching unit of DFTL's GC update and everyone else's flush.
-pub(crate) fn group_by_vtpn(
-    env: &SsdEnv,
-    updates: &[(Lpn, Ppn)],
-) -> BTreeMap<Vtpn, Vec<(u16, Ppn)>> {
-    let mut map: BTreeMap<Vtpn, Vec<(u16, Ppn)>> = BTreeMap::new();
-    for &(lpn, ppn) in updates {
-        map.entry(env.vtpn_of(lpn))
-            .or_default()
-            .push((env.offset_of(lpn), ppn));
+/// Hands mapping updates to `f` one translation page at a time, in
+/// ascending VTPN order — the batching unit of DFTL's GC update and
+/// everyone else's flush. `f` gets the page's `(offset, PPN)` updates in
+/// ascending offset order, in a buffer it may extend.
+///
+/// `updates` is sorted in place by LPN; its LPNs must be unique (migrated
+/// pages, or the keys of a map), so LPN order is (VTPN, offset) order and
+/// each page's updates form one run. The per-page buffer is the
+/// environment's reused scratch, so nothing is allocated once it has grown
+/// to one page.
+pub(crate) fn for_each_vtpn_batch(
+    env: &mut SsdEnv,
+    updates: &mut [(Lpn, Ppn)],
+    mut f: impl FnMut(&mut SsdEnv, Vtpn, &mut Vec<(u16, Ppn)>) -> Result<()>,
+) -> Result<()> {
+    updates.sort_unstable_by_key(|u| u.0);
+    debug_assert!(
+        updates.windows(2).all(|w| w[0].0 < w[1].0),
+        "duplicate LPN in a mapping-update batch"
+    );
+    let mut batch = std::mem::take(&mut env.batch_scratch);
+    let mut res = Ok(());
+    let mut rest = &updates[..];
+    while let Some(&(first, _)) = rest.first() {
+        let vtpn = env.vtpn_of(first);
+        let len = rest
+            .iter()
+            .position(|&(lpn, _)| env.vtpn_of(lpn) != vtpn)
+            .unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(len);
+        batch.clear();
+        batch.extend(run.iter().map(|&(lpn, ppn)| (env.offset_of(lpn), ppn)));
+        res = f(env, vtpn, &mut batch);
+        if res.is_err() {
+            break;
+        }
+        rest = tail;
     }
-    map
+    env.batch_scratch = batch;
+    res
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use tpftl_rng::Rng64;
+
     use super::*;
     use crate::SsdConfig;
 
@@ -304,15 +333,72 @@ mod tests {
         assert_eq!(c.remaining_in_request, 0);
     }
 
+    /// The map-based grouping `for_each_vtpn_batch` replaced, kept as the
+    /// reference: one `Vec` per translation page, in insertion order.
+    fn group_by_vtpn(env: &SsdEnv, updates: &[(Lpn, Ppn)]) -> BTreeMap<Vtpn, Vec<(u16, Ppn)>> {
+        let mut map: BTreeMap<Vtpn, Vec<(u16, Ppn)>> = BTreeMap::new();
+        for &(lpn, ppn) in updates {
+            map.entry(env.vtpn_of(lpn))
+                .or_default()
+                .push((env.offset_of(lpn), ppn));
+        }
+        map
+    }
+
+    fn batches(env: &mut SsdEnv, updates: &mut [(Lpn, Ppn)]) -> Vec<(Vtpn, Vec<(u16, Ppn)>)> {
+        let mut out = Vec::new();
+        for_each_vtpn_batch(env, updates, |_, vtpn, batch| {
+            out.push((vtpn, batch.clone()));
+            Ok(())
+        })
+        .unwrap();
+        out
+    }
+
     #[test]
-    fn group_by_vtpn_batches_and_orders() {
-        let env = SsdEnv::new(SsdConfig::paper_default(8 << 20)).unwrap();
-        // 8 MB -> 2048 pages -> 2 translation pages of 1024 entries.
-        let updates = vec![(1030u32, 5u32), (2, 6), (1029, 7), (3, 8)];
-        let grouped = group_by_vtpn(&env, &updates);
-        let keys: Vec<_> = grouped.keys().copied().collect();
-        assert_eq!(keys, vec![0, 1]);
-        assert_eq!(grouped[&0], vec![(2, 6), (3, 8)]);
-        assert_eq!(grouped[&1], vec![(6, 5), (5, 7)]);
+    fn vtpn_batches_match_the_map_grouping() {
+        // 64 MB -> 16384 pages -> 16 translation pages of 1024 entries.
+        let mut env = SsdEnv::new(SsdConfig::paper_default(64 << 20)).unwrap();
+        let pages = 16 * 1024u32;
+        for seed in 0..200u64 {
+            let mut rng = Rng64::seed_from_u64(0x6B7B + seed);
+            // Unique LPNs, as every caller guarantees; dense or sparse.
+            let n = rng.range_usize(0, 400);
+            let span = if seed % 2 == 0 { 1500 } else { pages };
+            let mut lpns: Vec<Lpn> = Vec::new();
+            while lpns.len() < n {
+                let lpn = rng.range_u32(0, span);
+                if !lpns.contains(&lpn) {
+                    lpns.push(lpn);
+                }
+            }
+            let updates: Vec<(Lpn, Ppn)> =
+                lpns.iter().map(|&l| (l, rng.next_u64() as Ppn)).collect();
+            // The map keeps arrival order inside a page; the sort-based
+            // runs come out by offset. Offsets are unique per page, so the
+            // patched payload is the same either way.
+            let want: Vec<(Vtpn, Vec<(u16, Ppn)>)> = group_by_vtpn(&env, &updates)
+                .into_iter()
+                .map(|(v, mut b)| {
+                    b.sort_unstable_by_key(|u| u.0);
+                    (v, b)
+                })
+                .collect();
+            let mut sorted = updates.clone();
+            assert_eq!(batches(&mut env, &mut sorted), want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn vtpn_batches_stop_at_the_first_error() {
+        let mut env = SsdEnv::new(SsdConfig::paper_default(8 << 20)).unwrap();
+        let mut updates = vec![(1030u32, 5u32), (2, 6), (1029, 7)];
+        let mut seen = Vec::new();
+        let res = for_each_vtpn_batch(&mut env, &mut updates, |_, vtpn, _| {
+            seen.push(vtpn);
+            Err(crate::FtlError::DeviceFull)
+        });
+        assert!(res.is_err());
+        assert_eq!(seen, vec![0]);
     }
 }

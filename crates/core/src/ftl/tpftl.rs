@@ -42,7 +42,7 @@
 use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::{group_by_vtpn, AccessCtx, Ftl, TpDistEntry};
+use crate::ftl::{for_each_vtpn_batch, AccessCtx, Ftl, TpDistEntry};
 use crate::hash::FxHashMap;
 use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
@@ -54,6 +54,10 @@ pub const ENTRY_BYTES: usize = 6;
 /// Bytes of overhead per TP node (VTPN + list heads), "only a small
 /// percentage" per Section 4.1.
 pub const NODE_BYTES: usize = 8;
+
+/// Words of a node's dirty bitmap: one bit per entry of a 1024-entry
+/// translation page.
+const DIRTY_WORDS: usize = 16;
 
 /// Which TPFTL techniques are enabled; the Figure 7/8 ablation knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +145,6 @@ struct EntryNode {
     offset: u16,
     /// `PPN_NONE` caches "not mapped yet".
     ppn: Ppn,
-    dirty: bool,
     /// Last-access stamp; feeds the node's page-level hotness.
     stamp: u64,
 }
@@ -157,7 +160,11 @@ struct TpNode {
     by_offset: Box<[LruIdx]>,
     /// Sum of entry stamps; hotness = sum / len.
     stamp_sum: u64,
-    dirty_count: u32,
+    /// Bit `offset` is set while the entry cached at `offset` is dirty —
+    /// the only record of dirtiness. Clean-first tests a bit, the
+    /// distribution counts bits, and a batch writeback walks only the set
+    /// bits, which yields its updates in ascending offset order.
+    dirty: [u64; DIRTY_WORDS],
     /// Current key in the page-level order ((hotness, vtpn)).
     hot_key: u64,
     /// Index of this node's slot in [`TpFtl::order`]; maintained by the
@@ -172,7 +179,7 @@ impl TpNode {
             entries: LruList::new(),
             by_offset,
             stamp_sum: 0,
-            dirty_count: 0,
+            dirty: [0; DIRTY_WORDS],
             hot_key: 0,
             heap_pos: 0,
         }
@@ -187,6 +194,44 @@ impl TpNode {
 
     fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    #[inline]
+    fn is_dirty(&self, offset: u16) -> bool {
+        self.dirty[offset as usize / 64] & (1 << (offset % 64)) != 0
+    }
+
+    #[inline]
+    fn set_dirty(&mut self, offset: u16) {
+        self.dirty[offset as usize / 64] |= 1 << (offset % 64);
+    }
+
+    #[inline]
+    fn clear_dirty(&mut self, offset: u16) {
+        self.dirty[offset as usize / 64] &= !(1 << (offset % 64));
+    }
+
+    fn dirty_count(&self) -> u32 {
+        self.dirty.iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// Appends `(offset, PPN)` of every dirty entry to `out` in ascending
+    /// offset order, walking only the set bits, and marks them all clean —
+    /// the batch-update list.
+    fn take_dirty(&mut self, out: &mut Vec<(u16, Ppn)>) {
+        for (w, word) in self.dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let offset = (w * 64) as u16 + bits.trailing_zeros() as u16;
+                bits &= bits - 1;
+                let idx = self.by_offset[offset as usize];
+                debug_assert!(!idx.is_none(), "dirty bit {offset} has no cached entry");
+                out.push((
+                    offset,
+                    self.entries.get(idx).expect("dirty entry is cached").ppn,
+                ));
+            }
+        }
     }
 
     fn hotness(&self) -> u64 {
@@ -222,12 +267,10 @@ pub struct TpFtl {
     /// Recycled `by_offset` tables of dismantled nodes (all-NONE), so node
     /// churn stops allocating once the pool covers the working set.
     table_pool: Vec<Box<[LruIdx]>>,
-    /// Reusable buffers for the request path (batch writebacks, GC
-    /// misses): taken, filled, returned — never reallocated once grown.
-    /// Miss-path payloads are borrowed from the flash slab and need no
-    /// buffer at all.
+    /// Reusable buffer for batch-writeback lists: taken, filled, returned
+    /// — never reallocated once grown. Miss-path payloads are borrowed
+    /// from the flash slab and need no buffer at all.
     scratch_updates: Vec<(u16, Ppn)>,
-    scratch_misses: Vec<(Lpn, Ppn)>,
 }
 
 impl TpFtl {
@@ -238,6 +281,10 @@ impl TpFtl {
     ///
     /// [`FtlError::CacheTooSmall`] if a node plus one entry does not fit.
     pub fn new(config: &SsdConfig, cfg: TpftlConfig) -> Result<Self> {
+        assert!(
+            config.entries_per_tp() <= DIRTY_WORDS * 64,
+            "dirty bitmap too small for the translation page"
+        );
         let budget_bytes = config.usable_cache_bytes();
         if budget_bytes < NODE_BYTES + ENTRY_BYTES {
             return Err(FtlError::CacheTooSmall);
@@ -254,7 +301,6 @@ impl TpFtl {
             selective_active: false,
             table_pool: Vec::new(),
             scratch_updates: Vec::new(),
-            scratch_misses: Vec::new(),
         })
     }
 
@@ -465,10 +511,10 @@ impl TpFtl {
         }
         let node = self.nodes.get_mut(&vtpn).expect("present or just created");
         debug_assert!(node.by_offset[offset as usize].is_none(), "double insert");
+        debug_assert!(!node.is_dirty(offset), "dirty bit of an uncached entry");
         let idx = node.entries.push_mru(EntryNode {
             offset,
             ppn,
-            dirty: false,
             stamp: self.clock,
         });
         node.by_offset[offset as usize] = idx;
@@ -481,48 +527,41 @@ impl TpFtl {
     }
 
     /// Picks the victim entry inside `node` per the replacement policy:
-    /// LRU clean entry when clean-first is on, else the LRU entry.
-    fn pick_victim_in(&self, vtpn: Vtpn) -> (LruIdx, EntryNode) {
+    /// LRU clean entry when clean-first is on, else the LRU entry. Returns
+    /// the entry and whether it is dirty.
+    fn pick_victim_in(&self, vtpn: Vtpn) -> (LruIdx, EntryNode, bool) {
         let node = &self.nodes[&vtpn];
         if self.cfg.clean_first {
             if let Some((idx, e)) = node
                 .entries
                 .iter_lru()
-                .find(|(_, e)| !e.dirty)
-                .map(|(i, e)| (i, *e))
+                .find(|(_, e)| !node.is_dirty(e.offset))
             {
-                return (idx, e);
+                return (idx, *e, false);
             }
         }
         let (idx, e) = node.entries.peek_lru().expect("nodes are never empty");
-        (idx, *e)
+        (idx, *e, node.is_dirty(e.offset))
     }
 
     /// Evicts one entry from the coldest TP node, handling writeback and
     /// batch-update; returns the bytes freed.
     fn evict_one(&mut self, env: &mut SsdEnv) -> Result<usize> {
         let &(_, vtpn) = self.order.first().expect("eviction from empty cache");
-        let (victim_idx, victim) = self.pick_victim_in(vtpn);
-        env.note_replacement(victim.dirty);
+        let (victim_idx, victim, victim_dirty) = self.pick_victim_in(vtpn);
+        env.note_replacement(victim_dirty);
 
-        if victim.dirty {
+        if victim_dirty {
             if self.cfg.batch_update {
                 // Write back every dirty entry of the node in one update;
                 // the others stay cached, now clean (Section 4.4). The
-                // update list lives in a reusable scratch buffer; offsets
-                // are unique per node, so the sort makes the order
-                // deterministic regardless of collection order.
+                // update list lives in a reusable scratch buffer.
                 let mut updates = std::mem::take(&mut self.scratch_updates);
                 updates.clear();
-                let node = self.nodes.get_mut(&vtpn).expect("victim node");
-                node.entries.for_each_value_mut(|e| {
-                    if e.dirty {
-                        updates.push((e.offset, e.ppn));
-                        e.dirty = false;
-                    }
-                });
-                updates.sort_unstable_by_key(|u| u.0);
-                node.dirty_count = 0;
+                self.nodes
+                    .get_mut(&vtpn)
+                    .expect("victim node")
+                    .take_dirty(&mut updates);
                 let res = env.update_translation_page(vtpn, &updates, OpPurpose::Translation);
                 self.scratch_updates = updates;
                 res?;
@@ -533,16 +572,13 @@ impl TpFtl {
                     OpPurpose::Translation,
                 )?;
                 let node = self.nodes.get_mut(&vtpn).expect("victim node");
-                node.entries
-                    .get_mut(victim_idx)
-                    .expect("valid handle")
-                    .dirty = false;
-                node.dirty_count -= 1;
+                node.clear_dirty(victim.offset);
             }
         }
 
         // Remove the (now clean) victim.
         let node = self.nodes.get_mut(&vtpn).expect("victim node");
+        debug_assert!(!node.is_dirty(victim.offset), "evicting a dirty entry");
         let e = node.entries.remove(victim_idx);
         node.by_offset[e.offset as usize] = LruIdx::NONE;
         node.stamp_sum -= e.stamp;
@@ -654,18 +690,14 @@ impl Ftl for TpFtl {
             .get_mut(&vtpn)
             .expect("update_mapping contract: entry was translated immediately before");
         let idx = node.idx_of(offset).expect("entry cached");
-        let e = node.entries.get_mut(idx).expect("valid handle");
-        e.ppn = new_ppn;
-        if !e.dirty {
-            e.dirty = true;
-            node.dirty_count += 1;
-        }
+        node.entries.get_mut(idx).expect("valid handle").ppn = new_ppn;
+        node.set_dirty(offset);
         Ok(())
     }
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
         let mut hits = 0u64;
-        let mut misses = std::mem::take(&mut self.scratch_misses);
+        let mut misses = std::mem::take(&mut env.update_scratch);
         misses.clear();
         for &(lpn, new_ppn) in moved {
             let vtpn = env.vtpn_of(lpn);
@@ -676,42 +708,30 @@ impl Ftl for TpFtl {
                 .and_then(|n| n.idx_of(offset).map(|idx| (n, idx)))
             {
                 Some((node, idx)) => {
-                    let e = node.entries.get_mut(idx).expect("valid handle");
-                    e.ppn = new_ppn;
-                    if !e.dirty {
-                        e.dirty = true;
-                        node.dirty_count += 1;
-                    }
+                    node.entries.get_mut(idx).expect("valid handle").ppn = new_ppn;
+                    node.set_dirty(offset);
                     hits += 1;
                 }
                 None => misses.push((lpn, new_ppn)),
             }
         }
-        let mut result = Ok(hits);
-        for (vtpn, mut updates) in group_by_vtpn(env, &misses) {
-            if self.cfg.batch_update {
+        let batch_update = self.cfg.batch_update;
+        let nodes = &mut self.nodes;
+        let res = for_each_vtpn_batch(env, &mut misses, |env, vtpn, updates| {
+            if batch_update {
                 // Piggyback every cached dirty entry of this page on the
                 // unavoidable update (Section 4.4), marking them clean.
-                if let Some(node) = self.nodes.get_mut(&vtpn) {
-                    if node.dirty_count > 0 {
-                        node.entries.for_each_value_mut(|e| {
-                            if e.dirty {
-                                updates.push((e.offset, e.ppn));
-                                e.dirty = false;
-                            }
-                        });
-                        node.dirty_count = 0;
-                    }
+                // The offsets are disjoint from the misses' (a miss is
+                // never cached), so the page is patched the same in any
+                // order.
+                if let Some(node) = nodes.get_mut(&vtpn) {
+                    node.take_dirty(updates);
                 }
             }
-            updates.sort_unstable_by_key(|u| u.0);
-            if let Err(e) = env.update_translation_page(vtpn, &updates, OpPurpose::GcTranslation) {
-                result = Err(e);
-                break;
-            }
-        }
-        self.scratch_misses = misses;
-        result
+            env.update_translation_page(vtpn, updates, OpPurpose::GcTranslation)
+        });
+        env.update_scratch = misses;
+        res.map(|()| hits)
     }
 
     fn cache_bytes_used(&self) -> usize {
@@ -730,8 +750,7 @@ impl Ftl for TpFtl {
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
         if let Some(node) = self.nodes.get_mut(&vtpn) {
-            node.entries.for_each_value_mut(|e| e.dirty = false);
-            node.dirty_count = 0;
+            node.dirty = [0; DIRTY_WORDS];
         }
     }
 
@@ -742,7 +761,7 @@ impl Ftl for TpFtl {
             .map(|(&vtpn, n)| TpDistEntry {
                 vtpn,
                 entries: n.len() as u32,
-                dirty: n.dirty_count,
+                dirty: n.dirty_count(),
             })
             .collect();
         out.sort_unstable_by_key(|d| d.vtpn);
@@ -752,6 +771,10 @@ impl Ftl for TpFtl {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use tpftl_rng::Rng64;
+
     use super::*;
     use crate::driver;
 
@@ -1130,6 +1153,162 @@ mod tests {
             assert!(
                 ftl.order[parent] <= ftl.order[i],
                 "heap property violated at slot {i}"
+            );
+        }
+    }
+
+    /// Checks one node's dirty bitmap against the model's dirty LPNs and
+    /// flash: set bits are exactly the model's dirty offsets (each one
+    /// cached), the batch-writeback list equals a brute-force walk of the
+    /// node, and every clean cached entry agrees with the persisted page.
+    fn check_node(env: &SsdEnv, vtpn: Vtpn, node: &mut TpNode, dirty: &BTreeSet<Lpn>, ctx: &str) {
+        let base = vtpn * 1024;
+        let persisted = env
+            .flash()
+            .peek_translation_payload(env.gtd().get(vtpn).expect("formatted"))
+            .expect("valid translation page");
+        let mut brute = Vec::new();
+        for off in 0..1024u16 {
+            let model_dirty = dirty.contains(&(base + off as Lpn));
+            assert_eq!(node.is_dirty(off), model_dirty, "{ctx}: bit {vtpn}:{off}");
+            let Some(idx) = node.idx_of(off) else {
+                assert!(!model_dirty, "{ctx}: dirty {vtpn}:{off} not cached");
+                continue;
+            };
+            let ppn = node.entries.get(idx).unwrap().ppn;
+            if model_dirty {
+                brute.push((off, ppn));
+            } else {
+                assert_eq!(
+                    ppn, persisted[off as usize],
+                    "{ctx}: clean {vtpn}:{off} stale"
+                );
+            }
+        }
+        assert_eq!(node.dirty_count() as usize, brute.len(), "{ctx}: popcount");
+        let saved = node.dirty;
+        let mut list = Vec::new();
+        node.take_dirty(&mut list);
+        assert_eq!(node.dirty, [0; DIRTY_WORDS], "{ctx}: take_dirty cleans");
+        node.dirty = saved;
+        assert_eq!(list, brute, "{ctx}: writeback list of vtpn {vtpn}");
+    }
+
+    /// The dirty bitmap against an exact model of dirtiness, under seeded
+    /// reads, writes, evictions, GC hits and misses, and flush + mark_clean.
+    /// The model dirties what an op dirties (written pages, GC hits) and
+    /// cleans what a writeback cleans: with batch update, a translation
+    /// page whose GTD entry moved during a read or write was written back
+    /// by an eviction, and during GC by a miss, and either cleans every
+    /// cached entry of that page. Evicted entries leave the model.
+    #[test]
+    fn dirty_bitmap_matches_a_model_under_random_ops() {
+        const VTPNS: u32 = 16;
+        for (seed, flags) in [
+            (1u64, "rsbc"),
+            (2, "b"),
+            (3, "bc"),
+            (4, "c"),
+            (5, ""),
+            (6, "rsb"),
+        ] {
+            let batch = flags.contains('b');
+            let (mut ftl, mut env) =
+                setup_sized(64 << 20, NODE_BYTES * 3 + ENTRY_BYTES * 48, flags);
+            let mut rng = Rng64::seed_from_u64(0xD1B7 + seed);
+            let mut dirty: BTreeSet<Lpn> = BTreeSet::new();
+            let (mut gc_hits, mut gc_misses) = (0u64, 0u64);
+            for step in 0..2500 {
+                let ctx = format!("flags {flags:?} step {step}");
+                let gtd_before: Vec<Option<Ppn>> = (0..VTPNS).map(|v| env.gtd().get(v)).collect();
+                // A few hot pages, so entries are hit, dirtied and evicted.
+                let pick = |rng: &mut Rng64| rng.range_u32(0, 4) * 1024 + rng.range_u32(0, 80);
+                let access = AccessCtx {
+                    is_write: false,
+                    remaining_in_request: rng.range_u32(0, 4),
+                };
+                let mut dirtied_after = Vec::new();
+                let mut cleaned_vtpn = None;
+                match rng.range_u32(0, 10) {
+                    0..=3 => {
+                        ftl.translate(&mut env, pick(&mut rng), &access).unwrap();
+                    }
+                    4..=7 => {
+                        let lpn = pick(&mut rng);
+                        let access = AccessCtx {
+                            is_write: true,
+                            ..access
+                        };
+                        ftl.write_page(&mut env, lpn, &access).unwrap();
+                        dirtied_after.push(lpn);
+                    }
+                    8 => {
+                        let mut lpns: Vec<Lpn> =
+                            (0..rng.range_usize(1, 9)).map(|_| pick(&mut rng)).collect();
+                        lpns.sort_unstable();
+                        lpns.dedup();
+                        let mut moved = Vec::new();
+                        for &lpn in &lpns {
+                            let ppn = env.program_data_page(lpn, OpPurpose::GcData).unwrap();
+                            moved.push((lpn, ppn));
+                            // A GC hit dirties the entry before any miss
+                            // writeback can piggyback it.
+                            if ftl.cached_ppn(lpn / 1024, (lpn % 1024) as u16).is_some() {
+                                dirty.insert(lpn);
+                                gc_hits += 1;
+                            } else {
+                                gc_misses += 1;
+                            }
+                        }
+                        ftl.on_gc_data_block(&mut env, &moved).unwrap();
+                    }
+                    _ => {
+                        // Flush one cached page, then mark it clean (the
+                        // `mark_clean` contract).
+                        let Some(&vtpn) = ftl.nodes.keys().min() else {
+                            continue;
+                        };
+                        let updates: Vec<(u16, Ppn)> = dirty
+                            .range(vtpn * 1024..(vtpn + 1) * 1024)
+                            .map(|&l| {
+                                (
+                                    (l % 1024) as u16,
+                                    ftl.cached_ppn(vtpn, (l % 1024) as u16).unwrap(),
+                                )
+                            })
+                            .collect();
+                        if !updates.is_empty() {
+                            env.update_translation_page(vtpn, &updates, OpPurpose::Translation)
+                                .unwrap();
+                        }
+                        ftl.mark_clean(vtpn);
+                        cleaned_vtpn = Some(vtpn);
+                    }
+                }
+                for v in 0..VTPNS {
+                    let written = env.gtd().get(v) != gtd_before[v as usize];
+                    if (batch && written) || cleaned_vtpn == Some(v) {
+                        dirty.retain(|&l| l / 1024 != v);
+                    }
+                }
+                dirty.extend(dirtied_after);
+                dirty.retain(|&l| ftl.cached_ppn(l / 1024, (l % 1024) as u16).is_some());
+                let dist = ftl.cached_tp_distribution();
+                for d in &dist {
+                    let want = dirty.range(d.vtpn * 1024..(d.vtpn + 1) * 1024).count();
+                    assert_eq!(d.dirty as usize, want, "{ctx}: distribution of {}", d.vtpn);
+                }
+                for (&vtpn, node) in ftl.nodes.iter_mut() {
+                    check_node(&env, vtpn, node, &dirty, &ctx);
+                }
+            }
+            assert!(
+                env.stats.dirty_replacements > 0,
+                "flags {flags:?}: no dirty eviction"
+            );
+            assert!(
+                gc_hits > 0 && gc_misses > 0,
+                "flags {flags:?}: GC hits {gc_hits} misses {gc_misses}"
             );
         }
     }

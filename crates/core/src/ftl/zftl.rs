@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::{group_by_vtpn, AccessCtx, Ftl, TpDistEntry};
+use crate::ftl::{for_each_vtpn_batch, AccessCtx, Ftl, TpDistEntry};
 use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
 
@@ -112,24 +112,29 @@ impl Zftl {
         if self.reserve.is_empty() {
             return Ok(());
         }
-        let updates: Vec<(Lpn, Ppn)> = {
-            let mut v: Vec<_> = self.reserve.drain().collect();
-            v.sort_unstable_by_key(|&(l, _)| l);
-            v
-        };
-        for (vtpn, batch) in group_by_vtpn(env, &updates) {
+        let mut updates = std::mem::take(&mut env.update_scratch);
+        updates.clear();
+        updates.extend(self.reserve.drain());
+        let res = for_each_vtpn_batch(env, &mut updates, |env, vtpn, batch| {
             env.note_replacement(true);
-            env.update_translation_page(vtpn, &batch, OpPurpose::Translation)?;
-            // Keep the second tier coherent if it caches this page.
-            if let Some((active_vtpn, payload)) = &mut self.active_tp {
-                if *active_vtpn == vtpn {
-                    for &(off, ppn) in &batch {
-                        payload[off as usize] = ppn;
-                    }
+            env.update_translation_page(vtpn, batch, OpPurpose::Translation)?;
+            self.patch_active_tp(vtpn, batch);
+            Ok(())
+        });
+        env.update_scratch = updates;
+        res
+    }
+
+    /// Keeps the second tier coherent with a translation-page update if it
+    /// caches that page.
+    fn patch_active_tp(&mut self, vtpn: Vtpn, updates: &[(u16, Ppn)]) {
+        if let Some((active_vtpn, payload)) = &mut self.active_tp {
+            if *active_vtpn == vtpn {
+                for &(off, ppn) in updates {
+                    payload[off as usize] = ppn;
                 }
             }
         }
-        Ok(())
     }
 
     /// The cumbersome zone switch: flush every dirty first-tier entry and
@@ -261,7 +266,8 @@ impl Ftl for Zftl {
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
         let mut hits = 0u64;
-        let mut misses: Vec<(Lpn, Ppn)> = Vec::new();
+        let mut misses = std::mem::take(&mut env.update_scratch);
+        misses.clear();
         for &(lpn, new_ppn) in moved {
             if let Some(&idx) = self.map.get(&lpn) {
                 let e = self.entries.get_mut(idx).expect("mapped handle");
@@ -275,17 +281,13 @@ impl Ftl for Zftl {
                 misses.push((lpn, new_ppn));
             }
         }
-        for (vtpn, updates) in group_by_vtpn(env, &misses) {
-            env.update_translation_page(vtpn, &updates, OpPurpose::GcTranslation)?;
-            if let Some((active_vtpn, payload)) = &mut self.active_tp {
-                if *active_vtpn == vtpn {
-                    for &(off, ppn) in &updates {
-                        payload[off as usize] = ppn;
-                    }
-                }
-            }
-        }
-        Ok(hits)
+        let res = for_each_vtpn_batch(env, &mut misses, |env, vtpn, updates| {
+            env.update_translation_page(vtpn, updates, OpPurpose::GcTranslation)?;
+            self.patch_active_tp(vtpn, updates);
+            Ok(())
+        });
+        env.update_scratch = misses;
+        res.map(|()| hits)
     }
 
     fn cache_bytes_used(&self) -> usize {

@@ -128,21 +128,11 @@ fn migrate_translation_pages(
         env.flash.sim_relax_to(fence);
         // Accounts the migration read and validates the source page.
         env.flash.read_page(old_ppn, OpPurpose::GcTranslation)?;
-        // Program the copy before invalidating the original (as the
+        // Programs the copy before invalidating the original (as the
         // data-page path above does), so a power loss mid-migration never
         // leaves the table without a valid copy of this translation page.
-        // The payload moves slab-slot to slab-slot inside the flash model —
-        // one page-sized copy, no allocation.
-        let new_ppn = env.blocks.alloc_page(AllocClass::Translation, &env.flash)?;
-        env.flash.program_translation_page_from(
-            new_ppn,
-            vtpn,
-            old_ppn,
-            &[],
-            OpPurpose::GcTranslation,
-        )?;
-        env.gtd.set(vtpn, new_ppn);
-        env.invalidate_page(old_ppn)?;
+        // The payload stays put: its slab slot is handed to the copy.
+        env.rewrite_translation(vtpn, old_ppn, &[], OpPurpose::GcTranslation)?;
         gc_done = gc_done.max(env.flash.sim_frontier_us());
     }
 

@@ -321,17 +321,6 @@ impl<V> LruList<V> {
         Some(self.remove(idx))
     }
 
-    /// Applies `f` to every element, in unspecified (slab) order, without
-    /// touching recency. The allocation-free alternative to collecting
-    /// `iter_lru` handles just to call `get_mut` on each.
-    pub fn for_each_value_mut<F: FnMut(&mut V)>(&mut self, mut f: F) {
-        for s in &mut self.slots {
-            if let Some(v) = s.val.as_mut() {
-                f(v);
-            }
-        }
-    }
-
     /// Iterates from the LRU (coldest) end toward the MRU end.
     pub fn iter_lru(&self) -> IterLru<'_, V> {
         IterLru {

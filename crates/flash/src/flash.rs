@@ -36,13 +36,14 @@ pub struct PageInfo {
 }
 
 /// What a program is committing: plain host/GC data, a full translation
-/// payload, or a translation RMW copy (source page + patches). Carries
-/// everything the file mirror needs to serialize the page — including the
-/// page an interrupted program *would* have written.
+/// payload, or a translation rewrite (source page + patches; the source
+/// dies with the program). Carries everything the file mirror needs to
+/// serialize the page — including the page an interrupted program *would*
+/// have written.
 enum TpContent<'a> {
     Data,
     Tp(&'a [Ppn]),
-    TpFrom(Ppn, &'a [(u16, Ppn)]),
+    Rewrite(Ppn, &'a [(u16, Ppn)]),
 }
 
 /// A simulated NAND flash device.
@@ -472,9 +473,9 @@ impl Flash {
     /// Mirrors an *interrupted* program of `ppn` to the backing file: the
     /// torn OOB marker, or — with a tear budget on the fault plan — the
     /// partial prefix of the record the program would have written. The
-    /// payload a torn translation RMW *would* have committed is
-    /// materialized here on this cold path only (the RAM slab stores
-    /// nothing for torn programs).
+    /// payload a torn translation rewrite *would* have committed is
+    /// materialized here, from the source's still-bound slot, on this cold
+    /// path only (the RAM slab stores nothing for torn programs).
     fn mirror_torn_program(&mut self, ppn: Ppn, tag: u32, content: &TpContent<'_>) -> Result<()> {
         if self.backing.is_none() {
             return Ok(());
@@ -488,7 +489,7 @@ impl Flash {
         let payload: Option<&[Ppn]> = match content {
             TpContent::Data => None,
             TpContent::Tp(p) => Some(p),
-            TpContent::TpFrom(src, updates) => {
+            TpContent::Rewrite(src, updates) => {
                 let mut p = self
                     .tp
                     .get(*src)
@@ -542,11 +543,23 @@ impl Flash {
         self.next_seq += 1;
         self.write_ptr[block as usize] += 1;
         self.valid_count[block as usize] += 1;
-        match content {
-            TpContent::Data => {}
-            TpContent::Tp(payload) => self.tp.insert(ppn, payload),
-            TpContent::TpFrom(src, updates) => self.tp.insert_copy(ppn, src, updates),
-        }
+        let retired = match content {
+            TpContent::Data => None,
+            TpContent::Tp(payload) => {
+                self.tp.insert(ppn, payload);
+                None
+            }
+            TpContent::Rewrite(src, updates) => {
+                let out = self.tp.hand_off(src, ppn);
+                for &(off, v) in updates {
+                    out[off as usize] = v;
+                }
+                // `src` lost its slot above; retiring it in the same step
+                // keeps the slot invariant at every API boundary.
+                self.retire(src);
+                Some(src)
+            }
+        };
         self.stats
             .record(OpKind::Write, purpose, self.geom.write_us);
         let unit = if self.units == 1 {
@@ -555,7 +568,12 @@ impl Flash {
             (block as usize) % self.units
         };
         self.clocks.write(unit, self.geom.write_us);
+        // The file sees the same order as RAM: the new record commits
+        // before the source's invalid marker lands.
         self.mirror_program(ppn)?;
+        if let (Some(src), Some(b)) = (retired, self.backing.as_mut()) {
+            b.invalidate(src)?;
+        }
         Ok(())
     }
 
@@ -628,17 +646,21 @@ impl Flash {
         self.program_common(ppn, vtpn, purpose, TpContent::Tp(payload))
     }
 
-    /// Programs a translation page for `vtpn` whose payload is `src`'s
-    /// payload with `updates` patched in — the read-modify-write write half.
-    /// The payload moves arena-to-arena inside the slab (one copy, no
-    /// allocation); `src` itself is left untouched, so the caller keeps the
-    /// program-before-invalidate crash-consistency order.
+    /// Rewrites translation page `src` to `dst` for `vtpn`: programs `dst`
+    /// with `src`'s payload and `updates` patched in, then invalidates
+    /// `src` — the write half of a read-modify-write whose source dies with
+    /// it. The payload never moves: `src`'s slab slot is handed to `dst`
+    /// and patched in place.
+    ///
+    /// Program-before-invalidate holds: a torn program returns before the
+    /// hand-off, leaving `src` valid with its payload, and no fault point
+    /// lies between the program and the invalidate.
     ///
     /// Accounts one page-program latency; the caller accounts the read of
     /// `src` separately (via [`Flash::read_page`]).
-    pub fn program_translation_page_from(
+    pub fn rewrite_translation_page(
         &mut self,
-        ppn: Ppn,
+        dst: Ppn,
         vtpn: u32,
         src: Ppn,
         updates: &[(u16, Ppn)],
@@ -648,7 +670,7 @@ impl Flash {
         if !self.tp.contains(src) {
             return Err(FlashError::NotATranslationPage(src));
         }
-        self.program_common(ppn, vtpn, purpose, TpContent::TpFrom(src, updates))
+        self.program_common(dst, vtpn, purpose, TpContent::Rewrite(src, updates))
     }
 
     /// Marks a valid page as invalid (superseded). This is a metadata-only
@@ -661,13 +683,7 @@ impl Flash {
         self.check_ppn(ppn)?;
         match self.state[ppn as usize] {
             PageState::Valid => {
-                self.state[ppn as usize] = PageState::Invalid;
-                let block = self.geom.block_of(ppn);
-                self.valid_count[block as usize] -= 1;
-                // Stale translation payloads are unreachable in the model
-                // (reading invalid pages is an error), so recycle their
-                // slab slot eagerly.
-                self.tp.remove(ppn);
+                self.retire(ppn);
                 if let Some(b) = self.backing.as_mut() {
                     b.invalidate(ppn)?;
                 }
@@ -677,6 +693,16 @@ impl Flash {
             PageState::Invalid => Err(FlashError::ReadInvalid(ppn)),
             PageState::Torn => Err(FlashError::ReadTorn(ppn)),
         }
+    }
+
+    /// The RAM half of invalidating valid page `ppn`.
+    fn retire(&mut self, ppn: Ppn) {
+        self.state[ppn as usize] = PageState::Invalid;
+        let block = self.geom.block_of(ppn);
+        self.valid_count[block as usize] -= 1;
+        // Stale translation payloads are unreachable in the model (reading
+        // invalid pages is an error), so recycle their slab slot eagerly.
+        self.tp.remove(ppn);
     }
 
     /// Erases `block`, accounting one block-erase latency.
@@ -897,43 +923,50 @@ mod tests {
     }
 
     #[test]
-    fn program_from_copies_and_patches() {
+    fn rewrite_moves_patches_and_invalidates_source() {
         let mut f = small();
         let mut payload = vec![crate::PPN_NONE; 1024];
         payload[3] = 33;
         f.program_translation_page(0, 9, &payload, OpPurpose::Translation)
             .unwrap();
-        f.program_translation_page_from(1, 9, 0, &[(5, 55)], OpPurpose::Translation)
+        f.rewrite_translation_page(1, 9, 0, &[(5, 55)], OpPurpose::Translation)
             .unwrap();
-        // Source stays intact (program-before-invalidate order).
-        assert_eq!(f.peek_translation_payload(0).unwrap()[3], 33);
+        // One call programs the copy and retires the source.
+        assert_eq!(f.state(0).unwrap(), PageState::Invalid);
+        assert!(f.peek_translation_payload(0).is_none());
+        assert_eq!(f.valid_pages_in(0).unwrap(), 1);
         let copy = f.peek_translation_payload(1).unwrap();
         assert_eq!(copy[3], 33);
         assert_eq!(copy[5], 55);
-        // Copying from a data page (or a page without payload) is an error.
+        assert_eq!(f.read_page(1, OpPurpose::Translation).unwrap().tag, 9);
+        assert_eq!(f.stats().total_writes(), 2, "one program each");
+        assert_eq!(f.stats().total_reads(), 1);
+        // Rewriting from a data page (or a page without payload) is an error.
         let mut f2 = small();
         f2.program_page(0, 1, OpPurpose::HostData).unwrap();
         assert_eq!(
-            f2.program_translation_page_from(1, 0, 0, &[], OpPurpose::Translation),
+            f2.rewrite_translation_page(1, 0, 0, &[], OpPurpose::Translation),
             Err(FlashError::NotATranslationPage(0))
         );
+        assert_eq!(f2.state(1).unwrap(), PageState::Free);
     }
 
     #[test]
-    fn torn_program_from_stores_no_payload() {
+    fn torn_rewrite_keeps_the_source() {
         let mut f = small();
-        f.program_translation_page(0, 4, &vec![0; 1024], OpPurpose::Translation)
+        f.program_translation_page(0, 4, &vec![7; 1024], OpPurpose::Translation)
             .unwrap();
         f.arm_faults(FaultPlan::on_translation_write(0));
         assert_eq!(
-            f.program_translation_page_from(1, 4, 0, &[(0, 1)], OpPurpose::Translation),
+            f.rewrite_translation_page(1, 4, 0, &[(0, 1)], OpPurpose::Translation),
             Err(FlashError::PowerLoss)
         );
         f.disarm_faults();
         assert_eq!(f.state(1).unwrap(), PageState::Torn);
         assert!(f.peek_translation_payload(1).is_none());
-        // The source copy survives the torn program.
-        assert!(f.peek_translation_payload(0).is_some());
+        // The source survives the torn program, payload unpatched.
+        assert_eq!(f.state(0).unwrap(), PageState::Valid);
+        assert_eq!(f.peek_translation_payload(0).unwrap(), &[7; 1024][..]);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! `Ppn -> slot` index, so programming, reading and dropping a payload is
 //! index arithmetic — no hashing, no per-page heap allocation in steady
 //! state. A slot exists exactly while its page is `Valid`: invalidation
-//! recycles the slot, and a block erase never finds one because erases
-//! require zero valid pages.
+//! recycles the slot, a translation rewrite hands the dying source's slot
+//! to the replacement page, and a block erase never finds one because
+//! erases require zero valid pages.
 
 use crate::Ppn;
 
@@ -68,22 +69,15 @@ impl TpSlab {
         self.slot_of[ppn as usize] = slot as u32;
     }
 
-    /// Binds a fresh slot to `dst`, filled from `src`'s payload with
-    /// `updates` patched in — the read-modify-write path: one arena-internal
-    /// copy, no allocation.
-    pub(crate) fn insert_copy(&mut self, dst: Ppn, src: Ppn, updates: &[(u16, Ppn)]) {
+    /// Moves `src`'s slot to `dst` and returns it for patching — the
+    /// read-modify-write path when the source page dies with the rewrite:
+    /// no copy, no allocation, and the arena never grows.
+    pub(crate) fn hand_off(&mut self, src: Ppn, dst: Ppn) -> &mut [Ppn] {
         debug_assert!(!self.contains(dst), "page already holds a payload");
-        let src_slot = self.slot_of[src as usize];
-        debug_assert_ne!(src_slot, SLOT_NONE, "source page has no payload");
-        let src_base = src_slot as usize * self.entries;
-        let slot = self.alloc_slot();
-        self.arena
-            .copy_within(src_base..src_base + self.entries, slot * self.entries);
-        let out = &mut self.arena[slot * self.entries..][..self.entries];
-        for &(off, ppn) in updates {
-            out[off as usize] = ppn;
-        }
-        self.slot_of[dst as usize] = slot as u32;
+        let slot = std::mem::replace(&mut self.slot_of[src as usize], SLOT_NONE);
+        debug_assert_ne!(slot, SLOT_NONE, "source page has no payload");
+        self.slot_of[dst as usize] = slot;
+        &mut self.arena[slot as usize * self.entries..][..self.entries]
     }
 
     /// Unbinds `ppn`'s slot, if any, and recycles it.
@@ -115,23 +109,23 @@ mod tests {
     }
 
     #[test]
-    fn insert_copy_patches_without_growing_past_two_slots() {
+    fn hand_off_moves_the_slot_without_growing_the_arena() {
         let mut slab = TpSlab::new(8, 4);
         slab.insert(3, &[10, 11, 12, 13]);
-        slab.insert_copy(4, 3, &[(1, 99), (3, 77)]);
-        assert_eq!(slab.get(4).unwrap(), &[10, 99, 12, 77]);
-        assert_eq!(slab.get(3).unwrap(), &[10, 11, 12, 13], "source untouched");
-        // Steady-state RMW churn (copy to new, then drop old — the
-        // program-before-invalidate order) settles at one extra slot.
-        slab.remove(3);
+        slab.hand_off(3, 4)[1] = 99;
+        assert_eq!(slab.get(4).unwrap(), &[10, 99, 12, 13]);
+        assert!(!slab.contains(3), "source unbound");
+        // Steady-state rewrite churn (each page handed on to the next)
+        // keeps reusing the one slot: the arena never grows.
         let mut old = 4u32;
-        for dst in [5u32, 6, 7] {
-            slab.insert_copy(dst, old, &[(0, dst)]);
-            slab.remove(old);
+        for round in 0..100u32 {
+            let dst = (old + 1) % 8;
+            slab.hand_off(old, dst)[0] = round;
             old = dst;
         }
-        assert_eq!(slab.arena.len(), 2 * 4, "free-list reuse caps the arena");
-        assert_eq!(slab.get(7).unwrap()[0], 7);
+        assert_eq!(slab.arena.len(), 4, "hand-offs never grow the arena");
+        assert!(slab.free.is_empty());
+        assert_eq!(slab.get(old).unwrap(), &[99, 99, 12, 13]);
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn random_op(f: &mut Flash, rng: &mut Rng64, entries: usize) -> tpftl_flash::Res
                 if n == 9 && !srcs.is_empty() {
                     let src = srcs[rng.below(srcs.len() as u64) as usize];
                     let patch = [(rng.below(entries as u64) as u16, rng.below(1 << 20) as Ppn)];
-                    f.program_translation_page_from(
+                    f.rewrite_translation_page(
                         ppn,
                         rng.below(64) as u32,
                         src,
@@ -262,4 +262,52 @@ fn prefix_truncation_of_a_record_never_commits() {
     }
     let _ = std::fs::remove_file(&pristine);
     let _ = std::fs::remove_file(&torn);
+}
+
+/// A fault plan that tears a translation rewrite's program: the source
+/// stays valid with its original payload, in RAM and after a remount,
+/// while the file holds the torn prefix of the *patched* record the
+/// rewrite would have committed — built from the source's slot, which the
+/// hand-off had not taken yet.
+#[test]
+fn torn_rewrite_keeps_source_and_mirrors_patched_record() {
+    let path = temp_path("torn_rewrite");
+    let g = geom();
+    let entries = g.page_bytes / 4;
+    let mut f = Flash::create_file(g.clone(), &path).expect("create");
+    let payload: Vec<Ppn> = (0..entries as Ppn).map(|e| e * 3 + 1).collect();
+    f.program_translation_page(0, 5, &payload, OpPurpose::Translation)
+        .expect("tp");
+    // Tear right after the data region: the full patched payload lands,
+    // the OOB commit record does not.
+    f.arm_faults(FaultPlan::on_translation_write(0).with_tear(g.page_bytes as u64));
+    assert_eq!(
+        f.rewrite_translation_page(1, 5, 0, &[(2, 777), (9, 888)], OpPurpose::Translation),
+        Err(FlashError::PowerLoss)
+    );
+    assert_eq!(f.state(0).unwrap(), PageState::Valid);
+    assert_eq!(f.state(1).unwrap(), PageState::Torn);
+    assert_eq!(f.peek_translation_payload(0).unwrap(), payload.as_slice());
+    assert!(f.peek_translation_payload(1).is_none());
+    drop(f);
+
+    let mut patched = payload.clone();
+    patched[2] = 777;
+    patched[9] = 888;
+    let image = std::fs::read(&path).expect("read image");
+    let (off, _) = page_record_range(&g, 1);
+    let on_disk: Vec<Ppn> = image[off as usize..off as usize + g.page_bytes]
+        .chunks_exact(4)
+        .map(|c| Ppn::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    assert_eq!(on_disk, patched, "torn record carries the patched payload");
+
+    let reopened = Flash::open_file(&path).expect("reopen");
+    assert_eq!(reopened.state(0).unwrap(), PageState::Valid);
+    assert_ne!(reopened.state(1).unwrap(), PageState::Valid);
+    assert_eq!(
+        reopened.peek_translation_payload(0).unwrap(),
+        payload.as_slice()
+    );
+    let _ = std::fs::remove_file(&path);
 }

@@ -2,7 +2,7 @@
 //! `HashMap<Ppn, Box<[Ppn]>>` reference model.
 //!
 //! A seeded random workload of translation/data programs, read-modify-write
-//! copies, invalidations and erases — including fault-plan torn writes that
+//! rewrites (slot hand-offs), invalidations and erases — including fault-plan torn writes that
 //! must never leave a payload behind — is applied to the device while the
 //! model tracks what each valid translation page must hold. After every
 //! operation the two stores must agree exactly, which exercises slot
@@ -98,7 +98,9 @@ fn slab_matches_hashmap_model() {
                         model.insert(ppn, payload.into_boxed_slice());
                     }
                 }
-                // Read-modify-write copy from an existing translation page.
+                // Read-modify-write rewrite of an existing translation page:
+                // its slot moves to `dst`, and it dies unless the program
+                // tears.
                 25..=44 => {
                     let Some(src) = pick_tp(&model, &mut rng) else {
                         continue;
@@ -120,7 +122,7 @@ fn slab_matches_hashmap_model() {
                     if rng.below(8) == 0 {
                         flash.arm_faults(FaultPlan::on_translation_write(0));
                         assert_eq!(
-                            flash.program_translation_page_from(
+                            flash.rewrite_translation_page(
                                 dst,
                                 vtpn,
                                 src,
@@ -131,9 +133,10 @@ fn slab_matches_hashmap_model() {
                             "seed {seed}"
                         );
                         flash.disarm_faults();
+                        assert_eq!(flash.state(src).unwrap(), PageState::Valid);
                     } else {
                         flash
-                            .program_translation_page_from(
+                            .rewrite_translation_page(
                                 dst,
                                 vtpn,
                                 src,
@@ -141,7 +144,8 @@ fn slab_matches_hashmap_model() {
                                 OpPurpose::Translation,
                             )
                             .unwrap();
-                        let mut payload = model[&src].clone();
+                        let mut payload = model.remove(&src).unwrap();
+                        assert_eq!(flash.state(src).unwrap(), PageState::Invalid);
                         for &(off, ppn) in &updates {
                             payload[off as usize] = ppn;
                         }
