@@ -561,8 +561,8 @@ fn bench_gc_quality(
 }
 
 /// Device-aging GC row: the device is prefilled to 90% utilization, then
-/// the skewed overwrite stream of [`aging_spec`] keeps the collector
-/// running for the whole replay. The [`GcVariant`] selects the GC
+/// a write-only, Zipf-skewed overwrite stream over the whole address space
+/// keeps the collector running for the whole replay. The [`GcVariant`] selects the GC
 /// configuration; the scenario name carries it because bench-diff keys
 /// rows by (scenario, ftl).
 pub fn bench_aging_write_gc(

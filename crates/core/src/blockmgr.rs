@@ -23,6 +23,11 @@
 //! original per-bucket `BTreeSet` index (ascending block id within a
 //! bucket), which the golden fixed-seed fingerprints depend on: picks scan
 //! the — O(bucket) but allocation-free — list for the minimum id.
+//!
+//! The manager is built for one [`GcPolicy`]. Only the policies with a
+//! static wear-leveling arm (wear-aware, and windowed with more than one
+//! stream) keep the wear-ordered index of sealed blocks that the arm
+//! reads; the others never pay for it on a seal or a claim.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -110,28 +115,49 @@ pub struct BlockManager {
     sealed_valid: Vec<u32>,
     /// Erase cycles per block (mirrors the flash wear counters).
     wear: Vec<u32>,
-    /// Sealed blocks ordered by wear, for wear-aware selection.
-    wear_index: BTreeSet<(u32, BlockId)>,
+    /// The victim-selection policy this manager was built for.
+    policy: GcPolicy,
+    /// Sealed blocks ordered by wear, read only by the static
+    /// wear-leveling arm; present exactly when [`runs_static_arm`] holds.
+    wear_index: Option<BTreeSet<(u32, BlockId)>>,
     /// Highest erase count any block has reached.
     max_wear: u32,
     /// Picks since the last static wear-leveling turn-over (rate limiter).
     picks_since_static: u32,
 }
 
+/// Whether `policy` over `streams` data streams runs the static
+/// wear-leveling arm ([`BlockManager::static_turnover`]), the only reader
+/// of the wear index.
+fn runs_static_arm(policy: GcPolicy, streams: usize) -> bool {
+    match policy {
+        GcPolicy::WearAware { .. } => true,
+        GcPolicy::Windowed { .. } => streams > 1,
+        GcPolicy::Greedy | GcPolicy::CostBenefit => false,
+    }
+}
+
 impl BlockManager {
     /// Creates a single-stream manager over `num_blocks` erased blocks.
     #[cfg_attr(not(test), expect(dead_code))]
-    pub fn new(num_blocks: usize, pages_per_block: usize) -> Self {
-        Self::with_streams(num_blocks, pages_per_block, 1)
+    pub fn new(num_blocks: usize, pages_per_block: usize, policy: GcPolicy) -> Self {
+        Self::with_streams(num_blocks, pages_per_block, 1, policy)
     }
 
     /// Creates a manager with `streams` independent active data blocks
-    /// (clamped to at least one). Stream 0 is the coldest.
-    pub fn with_streams(num_blocks: usize, pages_per_block: usize, streams: u32) -> Self {
+    /// (clamped to at least one) that picks victims by `policy`. Stream 0
+    /// is the coldest.
+    pub fn with_streams(
+        num_blocks: usize,
+        pages_per_block: usize,
+        streams: u32,
+        policy: GcPolicy,
+    ) -> Self {
+        let streams = streams.max(1) as usize;
         Self {
             kind: vec![BlockKind::Free; num_blocks],
             free: (0..num_blocks as BlockId).collect(),
-            active_data: vec![None; streams.max(1) as usize],
+            active_data: vec![None; streams],
             active_trans: None,
             bucket_head: vec![NIL; pages_per_block + 1],
             list_prev: vec![NIL; num_blocks],
@@ -143,7 +169,8 @@ impl BlockManager {
             seal_seq: vec![0; num_blocks],
             sealed_valid: vec![0; num_blocks],
             wear: vec![0; num_blocks],
-            wear_index: BTreeSet::new(),
+            policy,
+            wear_index: runs_static_arm(policy, streams).then(BTreeSet::new),
             max_wear: 0,
             picks_since_static: 0,
         }
@@ -156,9 +183,9 @@ impl BlockManager {
     /// restarts empty), classified as a translation block if it holds a
     /// valid translation page. Wear is seeded from the device's per-block
     /// erase counters.
-    pub fn rebuild(flash: &Flash, streams: u32) -> Result<Self> {
+    pub fn rebuild(flash: &Flash, streams: u32, policy: GcPolicy) -> Result<Self> {
         let geom = flash.geometry().clone();
-        let mut mgr = Self::with_streams(geom.num_blocks, geom.pages_per_block, streams);
+        let mut mgr = Self::with_streams(geom.num_blocks, geom.pages_per_block, streams, policy);
         mgr.free.clear();
         for b in 0..geom.num_blocks as BlockId {
             let wear = flash.erase_count(b).map_err(FtlError::Flash)? as u32;
@@ -179,13 +206,22 @@ impl BlockManager {
             } else {
                 BlockKind::SealedData
             };
-            mgr.bucket_insert(b, valid);
-            mgr.seq += 1;
-            mgr.seal_seq[b as usize] = mgr.seq;
-            mgr.sealed_valid[b as usize] = valid as u32;
-            mgr.wear_index.insert((wear, b));
+            mgr.index_sealed(b, valid);
         }
         Ok(mgr)
+    }
+
+    /// Indexes the just-sealed `block`, holding `valid` valid pages, for
+    /// the collector: valid-count bucket, seal stamp, and the wear index
+    /// if the policy keeps one.
+    fn index_sealed(&mut self, block: BlockId, valid: usize) {
+        self.bucket_insert(block, valid);
+        self.seq += 1;
+        self.seal_seq[block as usize] = self.seq;
+        self.sealed_valid[block as usize] = valid as u32;
+        if let Some(index) = &mut self.wear_index {
+            index.insert((self.wear[block as usize], block));
+        }
     }
 
     // ---- Intrusive valid-count buckets --------------------------------------
@@ -365,11 +401,7 @@ impl BlockManager {
     fn seal_block(&mut self, b: BlockId, sealed_kind: BlockKind, flash: &Flash) -> Result<()> {
         self.kind[b as usize] = sealed_kind;
         let valid = flash.valid_pages_in(b).map_err(FtlError::Flash)?;
-        self.bucket_insert(b, valid);
-        self.seq += 1;
-        self.seal_seq[b as usize] = self.seq;
-        self.sealed_valid[b as usize] = valid as u32;
-        self.wear_index.insert((self.wear[b as usize], b));
+        self.index_sealed(b, valid);
         Ok(())
     }
 
@@ -390,11 +422,11 @@ impl BlockManager {
         }
     }
 
-    /// Picks the GC victim according to `policy`. Fully-valid blocks are
-    /// only ever returned by the static wear-leveling path; for the normal
-    /// policies `None` means the device is genuinely full.
-    pub fn pick_victim(&mut self, policy: GcPolicy) -> Option<(BlockId, AllocClass)> {
-        let b = match policy {
+    /// Picks the GC victim according to the manager's policy. Fully-valid
+    /// blocks are only ever returned by the static wear-leveling path; for
+    /// the normal policies `None` means the device is genuinely full.
+    pub fn pick_victim(&mut self) -> Option<(BlockId, AllocClass)> {
+        let b = match self.policy {
             GcPolicy::Greedy => self.pick_greedy()?,
             GcPolicy::CostBenefit => self.pick_cost_benefit()?,
             GcPolicy::WearAware { max_wear_delta } => self.pick_wear_aware(max_wear_delta)?,
@@ -405,7 +437,9 @@ impl BlockManager {
 
     fn claim(&mut self, b: BlockId) -> Option<(BlockId, AllocClass)> {
         self.bucket_remove(b, self.sealed_valid[b as usize] as usize);
-        self.wear_index.remove(&(self.wear[b as usize], b));
+        if let Some(index) = &mut self.wear_index {
+            index.remove(&(self.wear[b as usize], b));
+        }
         let class = match self.kind[b as usize] {
             BlockKind::SealedData => AllocClass::Data,
             BlockKind::SealedTranslation => AllocClass::Translation,
@@ -456,7 +490,11 @@ impl BlockManager {
         if self.picks_since_static < rate || self.free.len() < 2 {
             return None;
         }
-        let &(wear, b) = self.wear_index.iter().next()?;
+        let index = self
+            .wear_index
+            .as_ref()
+            .expect("a policy with a static arm keeps the wear index");
+        let &(wear, b) = index.iter().next()?;
         if (self.max_wear as u64).saturating_sub(wear as u64) > max_wear_delta {
             self.picks_since_static = 0;
             return Some(b);
@@ -548,11 +586,7 @@ impl BlockManager {
         let b = taken.expect("an active block to seal");
         self.kind[b as usize] = sealed_kind;
         let valid = flash.valid_pages_in(b).expect("block in range");
-        self.bucket_insert(b, valid);
-        self.seq += 1;
-        self.seal_seq[b as usize] = self.seq;
-        self.sealed_valid[b as usize] = valid as u32;
-        self.wear_index.insert((self.wear[b as usize], b));
+        self.index_sealed(b, valid);
     }
 
     /// Number of sealed blocks currently indexed for collection.
@@ -598,7 +632,7 @@ mod tests {
     #[test]
     fn alloc_rotates_and_seals() {
         let mut flash = flash4();
-        let mut mgr = BlockManager::new(4, 4);
+        let mut mgr = BlockManager::new(4, 4, GcPolicy::Greedy);
         assert_eq!(mgr.free_blocks(), 4);
         // Fill one block's worth of data pages.
         for i in 0..4u32 {
@@ -619,7 +653,7 @@ mod tests {
     #[test]
     fn data_and_translation_use_separate_actives() {
         let flash = flash4();
-        let mut mgr = BlockManager::new(4, 4);
+        let mut mgr = BlockManager::new(4, 4, GcPolicy::Greedy);
         let d = mgr.alloc_page(AllocClass::Data, &flash).unwrap();
         let t = mgr.alloc_page(AllocClass::Translation, &flash).unwrap();
         assert_ne!(
@@ -632,7 +666,7 @@ mod tests {
     #[test]
     fn victim_is_min_valid_sealed() {
         let mut flash = flash4();
-        let mut mgr = BlockManager::new(4, 4);
+        let mut mgr = BlockManager::new(4, 4, GcPolicy::Greedy);
         // Seal two data blocks.
         for i in 0..8u32 {
             let ppn = mgr.alloc_page(AllocClass::Data, &flash).unwrap();
@@ -646,31 +680,31 @@ mod tests {
         }
         flash.invalidate(0).unwrap();
         mgr.on_invalidated(0, flash.valid_pages_in(0).unwrap());
-        let (victim, class) = mgr.pick_victim(GcPolicy::Greedy).unwrap();
+        let (victim, class) = mgr.pick_victim().unwrap();
         assert_eq!(victim, 1, "block 1 has fewer valid pages");
         assert_eq!(class, AllocClass::Data);
         // Block 0 is next.
-        assert_eq!(mgr.pick_victim(GcPolicy::Greedy).unwrap().0, 0);
+        assert_eq!(mgr.pick_victim().unwrap().0, 0);
         // Nothing else is sealed.
-        assert!(mgr.pick_victim(GcPolicy::Greedy).is_none());
+        assert!(mgr.pick_victim().is_none());
     }
 
     #[test]
     fn fully_valid_blocks_never_picked() {
         let mut flash = flash4();
-        let mut mgr = BlockManager::new(4, 4);
+        let mut mgr = BlockManager::new(4, 4, GcPolicy::Greedy);
         for i in 0..4u32 {
             let ppn = mgr.alloc_page(AllocClass::Data, &flash).unwrap();
             flash.program_page(ppn, i, OpPurpose::HostData).unwrap();
         }
         let _ = mgr.alloc_page(AllocClass::Data, &flash).unwrap(); // seals block 0, fully valid
-        assert!(mgr.pick_victim(GcPolicy::Greedy).is_none());
+        assert!(mgr.pick_victim().is_none());
     }
 
     #[test]
     fn erase_returns_to_pool() {
         let mut flash = flash4();
-        let mut mgr = BlockManager::new(4, 4);
+        let mut mgr = BlockManager::new(4, 4, GcPolicy::Greedy);
         for i in 0..4u32 {
             let ppn = mgr.alloc_page(AllocClass::Data, &flash).unwrap();
             flash.program_page(ppn, i, OpPurpose::HostData).unwrap();
@@ -680,7 +714,7 @@ mod tests {
             flash.invalidate(ppn).unwrap();
             mgr.on_invalidated(0, flash.valid_pages_in(0).unwrap());
         }
-        let (victim, _) = mgr.pick_victim(GcPolicy::Greedy).unwrap();
+        let (victim, _) = mgr.pick_victim().unwrap();
         assert_eq!(victim, 0);
         flash.erase_block(0, OpPurpose::GcData).unwrap();
         mgr.on_erased(0);
@@ -688,8 +722,9 @@ mod tests {
         assert_eq!(mgr.free_blocks(), 3);
     }
 
-    /// Seals `n` data blocks with `valid[i]` valid pages each.
-    fn sealed_setup(valid: &[usize]) -> (Flash, BlockManager) {
+    /// Seals `n` data blocks with `valid[i]` valid pages each, in a
+    /// manager that picks by `policy`.
+    fn sealed_setup(valid: &[usize], policy: GcPolicy) -> (Flash, BlockManager) {
         let n = valid.len();
         let mut flash = Flash::new(FlashGeometry {
             page_bytes: 4096,
@@ -701,7 +736,7 @@ mod tests {
             topology: FlashTopology::default(),
         })
         .unwrap();
-        let mut mgr = BlockManager::new(n + 1, 4);
+        let mut mgr = BlockManager::new(n + 1, 4, policy);
         for (i, &v) in valid.iter().enumerate() {
             let b = seal_with(&mut mgr, &mut flash, v);
             assert_eq!(b, i as BlockId);
@@ -729,10 +764,11 @@ mod tests {
         block
     }
 
-    /// Claims `block` through the given policy-free greedy pick and erases
-    /// it, returning it to the pool with one more wear cycle.
+    /// Claims the greedy victim, whatever the manager's policy (and
+    /// without advancing its static arm), and erases it, returning it to
+    /// the pool with one more wear cycle.
     fn churn_once(mgr: &mut BlockManager, flash: &mut Flash) -> BlockId {
-        let (victim, _) = mgr.pick_victim(GcPolicy::Greedy).unwrap();
+        let (victim, _) = mgr.claim(mgr.pick_greedy().unwrap()).unwrap();
         for (ppn, _) in flash.valid_pages(victim).collect::<Vec<_>>() {
             flash.invalidate(ppn).unwrap();
         }
@@ -745,15 +781,15 @@ mod tests {
     fn cost_benefit_prefers_older_block_at_equal_utilization() {
         // Blocks 0 and 1 both have 2 valid pages; 0 was sealed earlier
         // (older age) so cost-benefit must pick it; block 2 is hot-full.
-        let (_flash, mut mgr) = sealed_setup(&[2, 2, 4]);
-        let (victim, _) = mgr.pick_victim(GcPolicy::CostBenefit).unwrap();
+        let (_flash, mut mgr) = sealed_setup(&[2, 2, 4], GcPolicy::CostBenefit);
+        let (victim, _) = mgr.pick_victim().unwrap();
         assert_eq!(victim, 0);
     }
 
     #[test]
     fn cost_benefit_takes_free_reclaims_immediately() {
-        let (_flash, mut mgr) = sealed_setup(&[2, 0, 3]);
-        let (victim, _) = mgr.pick_victim(GcPolicy::CostBenefit).unwrap();
+        let (_flash, mut mgr) = sealed_setup(&[2, 0, 3], GcPolicy::CostBenefit);
+        let (victim, _) = mgr.pick_victim().unwrap();
         assert_eq!(victim, 1, "a zero-valid block is a free win");
     }
 
@@ -771,7 +807,13 @@ mod tests {
             topology: FlashTopology::default(),
         })
         .unwrap();
-        let mut mgr = BlockManager::new(4, 4);
+        let mut mgr = BlockManager::new(
+            4,
+            4,
+            GcPolicy::WearAware {
+                max_wear_delta: 100,
+            },
+        );
         assert_eq!(seal_with(&mut mgr, &mut flash, 1), 0);
         assert_eq!(churn_once(&mut mgr, &mut flash), 0); // wear[0] = 1
                                                          // Free queue is now [1, 2, 3, 0]: seal all four with 1 valid page.
@@ -779,14 +821,9 @@ mod tests {
             seal_with(&mut mgr, &mut flash, 1);
         }
         // Greedy would take block 0 (smallest id in the bucket)...
-        let mut greedy = mgr.clone();
-        assert_eq!(greedy.pick_victim(GcPolicy::Greedy).unwrap().0, 0);
+        assert_eq!(mgr.pick_greedy(), Some(0));
         // ...wear-aware avoids it in favour of a fresh block.
-        let (victim, _) = mgr
-            .pick_victim(GcPolicy::WearAware {
-                max_wear_delta: 100,
-            })
-            .unwrap();
+        let (victim, _) = mgr.pick_victim().unwrap();
         assert_eq!(victim, 1, "least-worn block wins the tie");
     }
 
@@ -804,7 +841,7 @@ mod tests {
             topology: FlashTopology::default(),
         })
         .unwrap();
-        let mut mgr = BlockManager::new(6, 4);
+        let mut mgr = BlockManager::new(6, 4, GcPolicy::WearAware { max_wear_delta: 1 });
         assert_eq!(seal_with(&mut mgr, &mut flash, 3), 0);
         for _ in 0..12 {
             let b = seal_with(&mut mgr, &mut flash, 1);
@@ -815,9 +852,7 @@ mod tests {
         assert!(mgr.max_wear() >= 2);
         // Tight wear budget: the cold block must be turned over although a
         // 1-valid candidate exists... (none sealed right now except 0).
-        let (victim, _) = mgr
-            .pick_victim(GcPolicy::WearAware { max_wear_delta: 1 })
-            .unwrap();
+        let (victim, _) = mgr.pick_victim().unwrap();
         assert_eq!(victim, 0, "static wear leveling turns over the cold block");
     }
 
@@ -835,7 +870,7 @@ mod tests {
             topology: FlashTopology::default(),
         })
         .unwrap();
-        let mut mgr = BlockManager::new(6, 4);
+        let mut mgr = BlockManager::new(6, 4, GcPolicy::WearAware { max_wear_delta: 1 });
         assert_eq!(seal_with(&mut mgr, &mut flash, 4), 0); // cold, fully valid
         for _ in 0..12 {
             let b = seal_with(&mut mgr, &mut flash, 1);
@@ -846,14 +881,10 @@ mod tests {
         // Only block 0 is sealed and it is fully valid: the dynamic path
         // has no candidate, so the first 7 picks return None...
         for _ in 0..7 {
-            assert!(mgr
-                .pick_victim(GcPolicy::WearAware { max_wear_delta: 1 })
-                .is_none());
+            assert!(mgr.pick_victim().is_none());
         }
         // ...and the 8th triggers the static turn-over.
-        let (victim, _) = mgr
-            .pick_victim(GcPolicy::WearAware { max_wear_delta: 1 })
-            .unwrap();
+        let (victim, _) = mgr.pick_victim().unwrap();
         assert_eq!(victim, 0);
     }
 
@@ -885,6 +916,22 @@ mod tests {
                 max_wear: 0,
                 picks_since_static: 0,
             }
+        }
+
+        /// The oracle a mount builds: every programmed block sealed in
+        /// id order, wear read from the device.
+        fn rebuilt(flash: &Flash) -> Self {
+            let geom = flash.geometry();
+            let mut oracle = Self::new(geom.num_blocks, geom.pages_per_block);
+            for b in 0..geom.num_blocks as BlockId {
+                let wear = flash.erase_count(b).unwrap() as u32;
+                oracle.wear[b as usize] = wear;
+                oracle.max_wear = oracle.max_wear.max(wear);
+                if flash.free_pages_in(b).unwrap() < geom.pages_per_block {
+                    oracle.on_seal(b, flash.valid_pages_in(b).unwrap());
+                }
+            }
+            oracle
         }
 
         fn on_seal(&mut self, b: BlockId, valid: usize) {
@@ -1025,13 +1072,17 @@ mod tests {
 
     /// Seeded seal/invalidate/pick/erase fuzz: the intrusive bucket lists
     /// must yield the same victim sequence as the `BTreeSet` oracle for
-    /// greedy, cost-benefit, and wear-aware policies.
+    /// every policy on one and on three streams, before and after a
+    /// rebuild from the device halfway through. The wear index must equal
+    /// the oracle's after every op where the policy has a static arm
+    /// (wear-aware, multi-stream windowed) and be absent everywhere else.
     #[test]
     fn victim_sequence_matches_btreeset_oracle() {
         use tpftl_rng::Rng64;
 
         const N_BLOCKS: usize = 12;
         const PPB: usize = 4;
+        const OPS: usize = 400;
         let policies = [
             GcPolicy::Greedy,
             GcPolicy::CostBenefit,
@@ -1044,75 +1095,89 @@ mod tests {
             GcPolicy::Windowed { window: 64 },
         ];
         for (pi, &policy) in policies.iter().enumerate() {
-            for seed in 0..48u64 {
-                let mut rng = Rng64::seed_from_u64(0xB10C + seed * 7 + pi as u64);
-                let mut flash = Flash::new(FlashGeometry {
-                    page_bytes: 4096,
-                    pages_per_block: PPB,
-                    num_blocks: N_BLOCKS,
-                    read_us: 25.0,
-                    write_us: 200.0,
-                    erase_us: 1500.0,
-                    topology: FlashTopology::default(),
-                })
-                .unwrap();
-                // Odd seeds run a two-stream manager so the windowed
-                // policy's static wear-leveling arm (multi-stream only)
-                // is part of the fuzzed surface; the extra stream is
-                // never written, so every other code path is identical.
-                let mut mgr = BlockManager::with_streams(N_BLOCKS, PPB, 1 + (seed % 2) as u32);
-                let mut oracle = BucketOracle::new(N_BLOCKS, PPB);
-                let mut sealed: Vec<BlockId> = Vec::new();
+            // Only the extra streams' existence matters: they are never
+            // written, so every other code path is the single-stream one.
+            for streams in [1u32, 3] {
+                let keeps_index = match policy {
+                    GcPolicy::WearAware { .. } => true,
+                    GcPolicy::Windowed { .. } => streams > 1,
+                    GcPolicy::Greedy | GcPolicy::CostBenefit => false,
+                };
+                for seed in 0..24u64 {
+                    let ctx = format!("policy {policy:?}, streams {streams}, seed {seed}");
+                    let mut rng =
+                        Rng64::seed_from_u64(0xB10C + seed * 7 + pi as u64 + 1000 * streams as u64);
+                    let mut flash = Flash::new(FlashGeometry {
+                        page_bytes: 4096,
+                        pages_per_block: PPB,
+                        num_blocks: N_BLOCKS,
+                        read_us: 25.0,
+                        write_us: 200.0,
+                        erase_us: 1500.0,
+                        topology: FlashTopology::default(),
+                    })
+                    .unwrap();
+                    let mut mgr = BlockManager::with_streams(N_BLOCKS, PPB, streams, policy);
+                    let mut oracle = BucketOracle::new(N_BLOCKS, PPB);
+                    let mut sealed: Vec<BlockId> = Vec::new();
 
-                for _ in 0..400 {
-                    match rng.range_u32(0, 4) {
-                        // Seal a fresh block with a random valid count.
-                        0 | 1 => {
-                            if mgr.free_blocks() == 0 {
-                                continue;
-                            }
-                            let valid = rng.range_usize(0, PPB + 1);
-                            let b = seal_with(&mut mgr, &mut flash, valid);
-                            oracle.on_seal(b, valid);
-                            sealed.push(b);
+                    for op in 0..OPS {
+                        if op == OPS / 2 {
+                            // Power cycle: both sides rebuild from the
+                            // device alone.
+                            mgr = BlockManager::rebuild(&flash, streams, policy).unwrap();
+                            oracle = BucketOracle::rebuilt(&flash);
                         }
-                        // Invalidate one valid page of a random sealed block.
-                        2 => {
-                            if sealed.is_empty() {
-                                continue;
+                        match rng.range_u32(0, 4) {
+                            // Seal a fresh block with a random valid count.
+                            0 | 1 => {
+                                if mgr.free_blocks() == 0 {
+                                    continue;
+                                }
+                                let valid = rng.range_usize(0, PPB + 1);
+                                let b = seal_with(&mut mgr, &mut flash, valid);
+                                oracle.on_seal(b, valid);
+                                sealed.push(b);
                             }
-                            let b = sealed[rng.range_usize(0, sealed.len())];
-                            let pages: Vec<_> = flash.valid_pages(b).collect();
-                            if pages.is_empty() {
-                                continue;
-                            }
-                            let (ppn, _) = pages[rng.range_usize(0, pages.len())];
-                            flash.invalidate(ppn).unwrap();
-                            let now_valid = flash.valid_pages_in(b).unwrap();
-                            mgr.on_invalidated(b, now_valid);
-                            oracle.on_invalidated(b, now_valid);
-                        }
-                        // Pick a victim; sequences must agree exactly.
-                        _ => {
-                            let expect = oracle.pick(policy, mgr.free_blocks(), mgr.streams() > 1);
-                            let got = mgr.pick_victim(policy);
-                            assert_eq!(
-                                got.map(|(b, _)| b),
-                                expect,
-                                "victim mismatch, policy {policy:?}, seed {seed}"
-                            );
-                            let Some((b, _)) = got else { continue };
-                            oracle.on_claim(b);
-                            sealed.retain(|&s| s != b);
-                            for (ppn, _) in flash.valid_pages(b).collect::<Vec<_>>() {
+                            // Invalidate one valid page of a random sealed block.
+                            2 => {
+                                if sealed.is_empty() {
+                                    continue;
+                                }
+                                let b = sealed[rng.range_usize(0, sealed.len())];
+                                let pages: Vec<_> = flash.valid_pages(b).collect();
+                                if pages.is_empty() {
+                                    continue;
+                                }
+                                let (ppn, _) = pages[rng.range_usize(0, pages.len())];
                                 flash.invalidate(ppn).unwrap();
+                                let now_valid = flash.valid_pages_in(b).unwrap();
+                                mgr.on_invalidated(b, now_valid);
+                                oracle.on_invalidated(b, now_valid);
                             }
-                            flash.erase_block(b, OpPurpose::GcData).unwrap();
-                            mgr.on_erased(b);
-                            oracle.on_erased(b);
+                            // Pick a victim; sequences must agree exactly.
+                            _ => {
+                                let expect = oracle.pick(policy, mgr.free_blocks(), streams > 1);
+                                let got = mgr.pick_victim();
+                                assert_eq!(got.map(|(b, _)| b), expect, "victim mismatch, {ctx}");
+                                let Some((b, _)) = got else { continue };
+                                oracle.on_claim(b);
+                                sealed.retain(|&s| s != b);
+                                for (ppn, _) in flash.valid_pages(b).collect::<Vec<_>>() {
+                                    flash.invalidate(ppn).unwrap();
+                                }
+                                flash.erase_block(b, OpPurpose::GcData).unwrap();
+                                mgr.on_erased(b);
+                                oracle.on_erased(b);
+                            }
                         }
+                        assert_eq!(mgr.sealed_blocks(), sealed.len(), "{ctx}");
+                        assert_eq!(
+                            mgr.wear_index.as_ref(),
+                            keeps_index.then_some(&oracle.wear_index),
+                            "wear index, {ctx}, op {op}"
+                        );
                     }
-                    assert_eq!(mgr.sealed_blocks(), sealed.len(), "seed {seed}");
                 }
             }
         }
@@ -1123,10 +1188,9 @@ mod tests {
         // Same setup as the cost-benefit test: block 0 is older at equal
         // utilization, so a wide window prefers it — but window = 1 only
         // ever sees the greedy candidate.
-        let (_flash, mut mgr) = sealed_setup(&[2, 1, 4]);
-        let mut greedy = mgr.clone();
-        let g = greedy.pick_victim(GcPolicy::Greedy).unwrap().0;
-        let w = mgr.pick_victim(GcPolicy::Windowed { window: 1 }).unwrap().0;
+        let (_flash, mut mgr) = sealed_setup(&[2, 1, 4], GcPolicy::Windowed { window: 1 });
+        let g = mgr.pick_greedy().unwrap();
+        let w = mgr.pick_victim().unwrap().0;
         assert_eq!(w, g);
         assert_eq!(w, 1, "min-valid block is the greedy victim");
     }
@@ -1136,14 +1200,13 @@ mod tests {
         // Block 1 has fewer valid pages (the greedy victim) but block 0 is
         // far older: stretch the age gap so the cost-benefit score inside
         // the window overrides pure greed and turns over the old block.
-        let (_flash, mut mgr) = sealed_setup(&[2, 1]);
+        let (_flash, mut mgr) = sealed_setup(&[2, 1], GcPolicy::Windowed { window: 8 });
         mgr.seq = 10;
         mgr.seal_seq[0] = 1;
         mgr.seal_seq[1] = 10;
-        let mut greedy = mgr.clone();
-        assert_eq!(greedy.pick_victim(GcPolicy::Greedy).unwrap().0, 1);
+        assert_eq!(mgr.pick_greedy(), Some(1));
         // score(0) = (1 − 0.5)/(2·0.5) · 10 = 5; score(1) = 1.5 · 1 = 1.5.
-        let (victim, _) = mgr.pick_victim(GcPolicy::Windowed { window: 8 }).unwrap();
+        let (victim, _) = mgr.pick_victim().unwrap();
         assert_eq!(victim, 0, "the much older block wins the score");
     }
 
@@ -1153,17 +1216,17 @@ mod tests {
         // seq tick apart, so align the seal stamps to force an exact score
         // tie, then wear block 0: the tiebreak must pick the fresh block 1
         // although both the id order and the age order would say 0.
-        let (_flash, mut mgr) = sealed_setup(&[1, 1]);
+        let (_flash, mut mgr) = sealed_setup(&[1, 1], GcPolicy::Windowed { window: 8 });
         mgr.seal_seq[0] = mgr.seal_seq[1];
         mgr.wear[0] = 5;
-        let (victim, _) = mgr.pick_victim(GcPolicy::Windowed { window: 8 }).unwrap();
+        let (victim, _) = mgr.pick_victim().unwrap();
         assert_eq!(victim, 1, "equal scores fall back to the wear tiebreak");
     }
 
     #[test]
     fn streams_never_share_an_active_block() {
         let flash = flash4();
-        let mut mgr = BlockManager::with_streams(4, 4, 2);
+        let mut mgr = BlockManager::with_streams(4, 4, 2, GcPolicy::Greedy);
         let cold = mgr.alloc_data_page(0, &flash).unwrap();
         let hot = mgr.alloc_data_page(1, &flash).unwrap();
         assert_ne!(
@@ -1201,7 +1264,7 @@ mod tests {
                 topology: FlashTopology::default(),
             })
             .unwrap();
-            let mut mgr = BlockManager::with_streams(N_BLOCKS, PPB, streams);
+            let mut mgr = BlockManager::with_streams(N_BLOCKS, PPB, streams, GcPolicy::Greedy);
             // Which stream wrote each block (None = erased / untouched).
             let mut owner: Vec<Option<usize>> = vec![None; N_BLOCKS];
             let mut programmed: Vec<Vec<Ppn>> = vec![Vec::new(); N_BLOCKS];
@@ -1209,7 +1272,7 @@ mod tests {
                 let stream = rng.range_usize(0, streams as usize);
                 let Ok(ppn) = mgr.alloc_data_page(stream, &flash) else {
                     // Device full: reclaim the greedy victim and move on.
-                    let Some((victim, _)) = mgr.pick_victim(GcPolicy::Greedy) else {
+                    let Some((victim, _)) = mgr.pick_victim() else {
                         break;
                     };
                     for p in programmed[victim as usize].drain(..) {
@@ -1237,7 +1300,7 @@ mod tests {
     #[test]
     fn device_full_reported() {
         let flash = flash4();
-        let mut mgr = BlockManager::new(4, 4);
+        let mut mgr = BlockManager::new(4, 4, GcPolicy::Greedy);
         // Claim both actives, then drain the pool.
         let _ = mgr.alloc_page(AllocClass::Data, &flash).unwrap();
         let _ = mgr.alloc_page(AllocClass::Translation, &flash).unwrap();

@@ -167,8 +167,12 @@ impl SsdEnv {
     pub fn new(config: SsdConfig) -> Result<Self> {
         let geom = config.geometry();
         let flash = Flash::new(geom.clone())?;
-        let blocks =
-            BlockManager::with_streams(geom.num_blocks, geom.pages_per_block, config.streams.get());
+        let blocks = BlockManager::with_streams(
+            geom.num_blocks,
+            geom.pages_per_block,
+            config.streams.get(),
+            config.gc_policy,
+        );
         let gtd = Gtd::new(config.num_vtpns() as usize);
         let entries_per_tp = config.entries_per_tp();
         assert!(
@@ -570,7 +574,8 @@ impl SsdEnv {
     /// mount time (see [`crate::recovery::mount`]): block bookkeeping is
     /// rebuilt by scanning the device, statistics start from zero.
     pub fn remount(config: SsdConfig, flash: Flash, gtd: crate::gtd::Gtd) -> Result<Self> {
-        let blocks = crate::blockmgr::BlockManager::rebuild(&flash, config.streams.get())?;
+        let blocks =
+            crate::blockmgr::BlockManager::rebuild(&flash, config.streams.get(), config.gc_policy)?;
         let entries_per_tp = config.entries_per_tp();
         assert!(
             entries_per_tp.is_power_of_two(),
@@ -827,10 +832,7 @@ mod tests {
             let ppn = env.program_data_page(1, OpPurpose::HostData).unwrap();
             env.invalidate_page(ppn).unwrap();
         }
-        let (victim, _) = env
-            .blocks
-            .pick_victim(crate::config::GcPolicy::Greedy)
-            .unwrap();
+        let (victim, _) = env.blocks.pick_victim().unwrap();
         env.flash.erase_block(victim, OpPurpose::GcData).unwrap();
         env.blocks.on_erased(victim);
         assert_eq!(env.wear_summary(), (blocks, 1, 1));

@@ -43,7 +43,6 @@ use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
 use crate::ftl::{for_each_vtpn_batch, AccessCtx, Ftl, TpDistEntry};
-use crate::hash::FxHashMap;
 use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
 
@@ -58,6 +57,15 @@ pub const NODE_BYTES: usize = 8;
 /// Words of a node's dirty bitmap: one bit per entry of a 1024-entry
 /// translation page.
 const DIRTY_WORDS: usize = 16;
+
+/// [`TpNode::by_offset`] marker of an uncached offset. A node's entry
+/// list never holds more than one entry per offset, so its slots stay
+/// below `entries_per_tp`, which [`TpFtl::new`] bounds by 1024, and never
+/// reach the marker.
+const NO_ENTRY: u16 = u16::MAX;
+
+/// [`NodeSlab::node_of`] marker of a VTPN without a cached node.
+const NO_NODE: u32 = u32::MAX;
 
 /// Which TPFTL techniques are enabled; the Figure 7/8 ablation knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,12 +160,12 @@ struct EntryNode {
 struct TpNode {
     /// Entry-level LRU list (MRU = hottest entry).
     entries: LruList<EntryNode>,
-    /// Dense offset → handle table, one slot per entry of the translation
-    /// page ([`LruIdx::NONE`] = not cached). An offset lookup is a single
-    /// indexed load — the hottest operation of the whole FTL — instead of
-    /// a hash probe. Tables are pooled by [`TpFtl`] across node churn, so
-    /// node creation allocates only until the pool has warmed up.
-    by_offset: Box<[LruIdx]>,
+    /// Dense offset → entry-list slot table, one 2-byte slot per entry of
+    /// the translation page ([`NO_ENTRY`] = not cached). An offset lookup
+    /// is a single indexed load — the hottest operation of the whole FTL
+    /// — instead of a hash probe; [`LruList::handle_at`] turns the slot
+    /// into its handle.
+    by_offset: Box<[u16]>,
     /// Sum of entry stamps; hotness = sum / len.
     stamp_sum: u64,
     /// Bit `offset` is set while the entry cached at `offset` is dirty —
@@ -174,10 +182,10 @@ struct TpNode {
 }
 
 impl TpNode {
-    fn new(by_offset: Box<[LruIdx]>) -> Self {
+    fn new(entries_per_tp: usize) -> Self {
         Self {
             entries: LruList::new(),
-            by_offset,
+            by_offset: vec![NO_ENTRY; entries_per_tp].into_boxed_slice(),
             stamp_sum: 0,
             dirty: [0; DIRTY_WORDS],
             hot_key: 0,
@@ -188,8 +196,23 @@ impl TpNode {
     /// Handle of the entry caching `offset`, if any.
     #[inline]
     fn idx_of(&self, offset: u16) -> Option<LruIdx> {
-        let idx = self.by_offset[offset as usize];
-        (!idx.is_none()).then_some(idx)
+        let slot = self.by_offset[offset as usize];
+        if slot == NO_ENTRY {
+            return None;
+        }
+        let idx = self.entries.handle_at(slot as u32);
+        debug_assert_eq!(
+            self.entries.get(idx).map(|e| e.offset),
+            Some(offset),
+            "offset table out of sync with the entry list"
+        );
+        Some(idx)
+    }
+
+    /// Whether an entry caches `offset`.
+    #[inline]
+    fn caches(&self, offset: u16) -> bool {
+        self.by_offset[offset as usize] != NO_ENTRY
     }
 
     fn len(&self) -> usize {
@@ -219,17 +242,13 @@ impl TpNode {
     /// offset order, walking only the set bits, and marks them all clean —
     /// the batch-update list.
     fn take_dirty(&mut self, out: &mut Vec<(u16, Ppn)>) {
-        for (w, word) in self.dirty.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
+        for w in 0..DIRTY_WORDS {
+            let mut bits = std::mem::take(&mut self.dirty[w]);
             while bits != 0 {
                 let offset = (w * 64) as u16 + bits.trailing_zeros() as u16;
                 bits &= bits - 1;
-                let idx = self.by_offset[offset as usize];
-                debug_assert!(!idx.is_none(), "dirty bit {offset} has no cached entry");
-                out.push((
-                    offset,
-                    self.entries.get(idx).expect("dirty entry is cached").ppn,
-                ));
+                let idx = self.idx_of(offset).expect("dirty bit of a cached entry");
+                out.push((offset, self.entries.get(idx).expect("valid handle").ppn));
             }
         }
     }
@@ -243,12 +262,97 @@ impl TpNode {
     }
 }
 
+/// The cached TP nodes: a slab found through one slot per VTPN, exactly
+/// like the GTD's own per-VTPN array, so finding a node is an indexed
+/// load rather than a hash probe. A dismantled node's slab slot keeps its
+/// emptied offset table for the next node created, so node churn
+/// allocates no tables once the slab covers the working set. Its entry
+/// list is released instead: a list keeps the capacity of the most
+/// entries it ever held, so kept lists would grow every slot toward the
+/// largest node the cache has seen rather than what it now holds.
+struct NodeSlab {
+    /// Slab slot of each VTPN's node ([`NO_NODE`] = not cached).
+    node_of: Box<[u32]>,
+    slab: Vec<TpNode>,
+    /// Slab slots of dismantled nodes, each empty and reusable.
+    free: Vec<u32>,
+    entries_per_tp: usize,
+}
+
+impl NodeSlab {
+    fn new(num_vtpns: usize, entries_per_tp: usize) -> Self {
+        Self {
+            node_of: vec![NO_NODE; num_vtpns].into_boxed_slice(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            entries_per_tp,
+        }
+    }
+
+    #[inline]
+    fn contains(&self, vtpn: Vtpn) -> bool {
+        self.node_of[vtpn as usize] != NO_NODE
+    }
+
+    #[inline]
+    fn get(&self, vtpn: Vtpn) -> Option<&TpNode> {
+        let slot = self.node_of[vtpn as usize];
+        (slot != NO_NODE).then(|| &self.slab[slot as usize])
+    }
+
+    #[inline]
+    fn get_mut(&mut self, vtpn: Vtpn) -> Option<&mut TpNode> {
+        let slot = self.node_of[vtpn as usize];
+        (slot != NO_NODE).then(|| &mut self.slab[slot as usize])
+    }
+
+    /// Installs an empty node for the uncached `vtpn`, reusing a free
+    /// slab slot when there is one.
+    fn create(&mut self, vtpn: Vtpn) -> &mut TpNode {
+        debug_assert!(!self.contains(vtpn), "node created twice");
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slab.push(TpNode::new(self.entries_per_tp));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.node_of[vtpn as usize] = slot;
+        let node = &mut self.slab[slot as usize];
+        node.hot_key = 0;
+        node
+    }
+
+    /// Drops `vtpn`'s emptied node; its slab slot goes on the free list.
+    fn dismantle(&mut self, vtpn: Vtpn) {
+        let slot = std::mem::replace(&mut self.node_of[vtpn as usize], NO_NODE);
+        let node = &mut self.slab[slot as usize];
+        debug_assert!(
+            node.entries.is_empty()
+                && node.stamp_sum == 0
+                && node.dirty == [0; DIRTY_WORDS]
+                && node.by_offset.iter().all(|&s| s == NO_ENTRY),
+            "dismantling a node that still caches entries"
+        );
+        node.entries = LruList::new();
+        self.free.push(slot);
+    }
+
+    /// Cached nodes in ascending VTPN order.
+    fn iter(&self) -> impl Iterator<Item = (Vtpn, &TpNode)> {
+        self.node_of
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != NO_NODE)
+            .map(|(vtpn, &slot)| (vtpn as Vtpn, &self.slab[slot as usize]))
+    }
+}
+
 /// The TPFTL flash translation layer.
 pub struct TpFtl {
     cfg: TpftlConfig,
     budget_bytes: usize,
-    entries_per_tp: usize,
-    nodes: FxHashMap<Vtpn, TpNode>,
+    nodes: NodeSlab,
     /// Page-level order: a binary min-heap over `(hotness, vtpn)`, coldest
     /// node at the root. Only two queries are ever needed — peek the
     /// coldest node and move one node after its hotness changes — so the
@@ -264,9 +368,6 @@ pub struct TpFtl {
     /// The Section 4.3 counter: +1 per TP-node load, −1 per eviction.
     counter: i32,
     selective_active: bool,
-    /// Recycled `by_offset` tables of dismantled nodes (all-NONE), so node
-    /// churn stops allocating once the pool covers the working set.
-    table_pool: Vec<Box<[LruIdx]>>,
     /// Reusable buffer for batch-writeback lists: taken, filled, returned
     /// — never reallocated once grown. Miss-path payloads are borrowed
     /// from the flash slab and need no buffer at all.
@@ -292,30 +393,14 @@ impl TpFtl {
         Ok(Self {
             cfg,
             budget_bytes,
-            entries_per_tp: config.entries_per_tp(),
-            nodes: FxHashMap::default(),
+            nodes: NodeSlab::new(config.num_vtpns() as usize, config.entries_per_tp()),
             order: Vec::new(),
             bytes_used: 0,
             clock: 0,
             counter: 0,
             selective_active: false,
-            table_pool: Vec::new(),
             scratch_updates: Vec::new(),
         })
-    }
-
-    /// A fresh or recycled all-NONE offset table.
-    fn alloc_table(&mut self) -> Box<[LruIdx]> {
-        self.table_pool
-            .pop()
-            .unwrap_or_else(|| vec![LruIdx::NONE; self.entries_per_tp].into_boxed_slice())
-    }
-
-    /// Returns a dismantled node's table (all entries removed, hence
-    /// all-NONE again) to the pool.
-    fn recycle_table(&mut self, table: Box<[LruIdx]>) {
-        debug_assert!(table.iter().all(|i| i.is_none()), "table not cleared");
-        self.table_pool.push(table);
     }
 
     /// Whether selective prefetching is currently active (test hook).
@@ -335,24 +420,19 @@ impl TpFtl {
     // lexicographic order on `(hot_key, vtpn)`.
 
     /// Swaps two heap slots and fixes both nodes' back-pointers.
-    fn heap_swap(
-        order: &mut [(u64, Vtpn)],
-        nodes: &mut FxHashMap<Vtpn, TpNode>,
-        a: usize,
-        b: usize,
-    ) {
+    fn heap_swap(order: &mut [(u64, Vtpn)], nodes: &mut NodeSlab, a: usize, b: usize) {
         order.swap(a, b);
         nodes
-            .get_mut(&order[a].1)
+            .get_mut(order[a].1)
             .expect("heap slot has a node")
             .heap_pos = a as u32;
         nodes
-            .get_mut(&order[b].1)
+            .get_mut(order[b].1)
             .expect("heap slot has a node")
             .heap_pos = b as u32;
     }
 
-    fn heap_sift_up(order: &mut [(u64, Vtpn)], nodes: &mut FxHashMap<Vtpn, TpNode>, mut i: usize) {
+    fn heap_sift_up(order: &mut [(u64, Vtpn)], nodes: &mut NodeSlab, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
             if order[i] < order[parent] {
@@ -364,11 +444,7 @@ impl TpFtl {
         }
     }
 
-    fn heap_sift_down(
-        order: &mut [(u64, Vtpn)],
-        nodes: &mut FxHashMap<Vtpn, TpNode>,
-        mut i: usize,
-    ) {
+    fn heap_sift_down(order: &mut [(u64, Vtpn)], nodes: &mut NodeSlab, mut i: usize) {
         loop {
             let left = 2 * i + 1;
             if left >= order.len() {
@@ -393,7 +469,7 @@ impl TpFtl {
     /// set) to the heap.
     fn heap_insert(&mut self, vtpn: Vtpn) {
         let i = self.order.len();
-        let node = self.nodes.get_mut(&vtpn).expect("inserting a cached node");
+        let node = self.nodes.get_mut(vtpn).expect("inserting a cached node");
         node.heap_pos = i as u32;
         self.order.push((node.hot_key, vtpn));
         Self::heap_sift_up(&mut self.order, &mut self.nodes, i);
@@ -421,7 +497,7 @@ impl TpFtl {
         if i < self.order.len() {
             self.order[i] = last;
             self.nodes
-                .get_mut(&last.1)
+                .get_mut(last.1)
                 .expect("heap slot has a node")
                 .heap_pos = i as u32;
             Self::heap_sift_up(&mut self.order, &mut self.nodes, i);
@@ -433,7 +509,7 @@ impl TpFtl {
     fn reposition(&mut self, vtpn: Vtpn) {
         let node = self
             .nodes
-            .get_mut(&vtpn)
+            .get_mut(vtpn)
             .expect("repositioning a cached node");
         let new_key = node.hotness();
         node.hot_key = new_key;
@@ -464,7 +540,7 @@ impl TpFtl {
     /// move, stamp refresh and node reposition — one node lookup for the
     /// probe and the touch combined.
     fn lookup_touch(&mut self, vtpn: Vtpn, offset: u16) -> Option<Ppn> {
-        let node = self.nodes.get_mut(&vtpn)?;
+        let node = self.nodes.get_mut(vtpn)?;
         let idx = node.idx_of(offset)?;
         node.entries.touch(idx);
         let e = node.entries.get_mut(idx).expect("valid handle");
@@ -480,7 +556,7 @@ impl TpFtl {
     }
 
     fn cached_ppn(&self, vtpn: Vtpn, offset: u16) -> Option<Ppn> {
-        let node = self.nodes.get(&vtpn)?;
+        let node = self.nodes.get(vtpn)?;
         let idx = node.idx_of(offset)?;
         Some(node.entries.get(idx).expect("valid handle").ppn)
     }
@@ -488,12 +564,12 @@ impl TpFtl {
     /// Number of consecutive cached predecessors of `offset` in `vtpn`
     /// (the selective-prefetch length rule, Section 4.3).
     fn cached_predecessors(&self, vtpn: Vtpn, offset: u16) -> usize {
-        let Some(node) = self.nodes.get(&vtpn) else {
+        let Some(node) = self.nodes.get(vtpn) else {
             return 0;
         };
         let mut n = 0;
         let mut off = offset;
-        while off > 0 && !node.by_offset[off as usize - 1].is_none() {
+        while off > 0 && node.caches(off - 1) {
             n += 1;
             off -= 1;
         }
@@ -502,22 +578,22 @@ impl TpFtl {
 
     /// Inserts a fresh entry (assumes capacity has been made).
     fn insert_entry(&mut self, vtpn: Vtpn, offset: u16, ppn: Ppn) {
-        let created = !self.nodes.contains_key(&vtpn);
+        let created = !self.nodes.contains(vtpn);
         if created {
             self.bytes_used += NODE_BYTES;
-            let table = self.alloc_table();
-            self.nodes.insert(vtpn, TpNode::new(table));
+            self.nodes.create(vtpn);
             self.heap_insert(vtpn);
         }
-        let node = self.nodes.get_mut(&vtpn).expect("present or just created");
-        debug_assert!(node.by_offset[offset as usize].is_none(), "double insert");
+        let node = self.nodes.get_mut(vtpn).expect("present or just created");
+        debug_assert!(!node.caches(offset), "double insert");
         debug_assert!(!node.is_dirty(offset), "dirty bit of an uncached entry");
         let idx = node.entries.push_mru(EntryNode {
             offset,
             ppn,
             stamp: self.clock,
         });
-        node.by_offset[offset as usize] = idx;
+        debug_assert!(idx.slot() < NO_ENTRY as u32, "entry slot overflows u16");
+        node.by_offset[offset as usize] = idx.slot() as u16;
         node.stamp_sum += self.clock;
         self.bytes_used += ENTRY_BYTES;
         self.reposition(vtpn);
@@ -530,7 +606,7 @@ impl TpFtl {
     /// LRU clean entry when clean-first is on, else the LRU entry. Returns
     /// the entry and whether it is dirty.
     fn pick_victim_in(&self, vtpn: Vtpn) -> (LruIdx, EntryNode, bool) {
-        let node = &self.nodes[&vtpn];
+        let node = self.nodes.get(vtpn).expect("victim node");
         if self.cfg.clean_first {
             if let Some((idx, e)) = node
                 .entries
@@ -559,7 +635,7 @@ impl TpFtl {
                 let mut updates = std::mem::take(&mut self.scratch_updates);
                 updates.clear();
                 self.nodes
-                    .get_mut(&vtpn)
+                    .get_mut(vtpn)
                     .expect("victim node")
                     .take_dirty(&mut updates);
                 let res = env.update_translation_page(vtpn, &updates, OpPurpose::Translation);
@@ -571,23 +647,22 @@ impl TpFtl {
                     &[(victim.offset, victim.ppn)],
                     OpPurpose::Translation,
                 )?;
-                let node = self.nodes.get_mut(&vtpn).expect("victim node");
+                let node = self.nodes.get_mut(vtpn).expect("victim node");
                 node.clear_dirty(victim.offset);
             }
         }
 
         // Remove the (now clean) victim.
-        let node = self.nodes.get_mut(&vtpn).expect("victim node");
+        let node = self.nodes.get_mut(vtpn).expect("victim node");
         debug_assert!(!node.is_dirty(victim.offset), "evicting a dirty entry");
         let e = node.entries.remove(victim_idx);
-        node.by_offset[e.offset as usize] = LruIdx::NONE;
+        node.by_offset[e.offset as usize] = NO_ENTRY;
         node.stamp_sum -= e.stamp;
         let mut freed = ENTRY_BYTES;
         if node.entries.is_empty() {
             let i = node.heap_pos as usize;
             self.heap_remove(i);
-            let node = self.nodes.remove(&vtpn).expect("present");
-            self.recycle_table(node.by_offset);
+            self.nodes.dismantle(vtpn);
             freed += NODE_BYTES;
             self.on_node_removed();
         } else {
@@ -605,7 +680,7 @@ impl TpFtl {
         loop {
             // Re-evaluated every iteration: an eviction can dismantle the
             // target node itself, re-introducing its NODE_BYTES cost.
-            let node_cost = if self.nodes.contains_key(&vtpn) {
+            let node_cost = if self.nodes.contains(vtpn) {
                 0
             } else {
                 NODE_BYTES
@@ -620,7 +695,7 @@ impl TpFtl {
             let lru_len = self
                 .order
                 .first()
-                .map(|&(_, v)| self.nodes[&v].len())
+                .map(|&(_, v)| self.nodes.get(v).expect("heap slot has a node").len())
                 .unwrap_or(0);
             if evictions <= lru_len || prefetch == 0 {
                 // Evict one entry and re-evaluate. When prefetch is already
@@ -631,6 +706,101 @@ impl TpFtl {
                 prefetch -= 1;
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl TpFtl {
+    /// Checks the cache's layout invariants, panicking on the first
+    /// violation:
+    /// - the per-VTPN slots, the slab and the heap agree: each cached
+    ///   node owns one slab slot and one heap slot whose key is its
+    ///   hotness, every other slab slot is on the free list and holds an
+    ///   empty node, and the heap is a min-heap;
+    /// - every non-empty offset slot resolves to an entry caching that
+    ///   offset, and every entry is reachable from its offset's slot;
+    /// - dirty bits are a subset of the cached offsets, and stamp sums
+    ///   are exact;
+    /// - `bytes_used` is Σ(`NODE_BYTES` + len·`ENTRY_BYTES`) and within
+    ///   the budget.
+    fn check_invariants(&self) {
+        let nodes = &self.nodes;
+        let mut owned = vec![false; nodes.slab.len()];
+        let (mut cached, mut bytes) = (0, 0);
+        for (vtpn, node) in nodes.iter() {
+            let slot = nodes.node_of[vtpn as usize] as usize;
+            assert!(
+                !std::mem::replace(&mut owned[slot], true),
+                "slab slot {slot} shared"
+            );
+            assert!(!node.entries.is_empty(), "empty node {vtpn} still cached");
+            let pos = node.heap_pos as usize;
+            assert_eq!(
+                self.order.get(pos),
+                Some(&(node.hot_key, vtpn)),
+                "heap slot of vtpn {vtpn}"
+            );
+            assert_eq!(node.hot_key, node.hotness(), "stale key of vtpn {vtpn}");
+            let mut stamps = 0;
+            for (idx, e) in node.entries.iter_lru() {
+                assert_eq!(
+                    node.by_offset[e.offset as usize] as u32,
+                    idx.slot(),
+                    "entry {vtpn}:{} unreachable from its slot",
+                    e.offset
+                );
+                stamps += e.stamp;
+            }
+            assert_eq!(node.stamp_sum, stamps, "stamp sum of vtpn {vtpn}");
+            let mut filled = 0;
+            for (off, &s) in node.by_offset.iter().enumerate() {
+                if s == NO_ENTRY {
+                    assert!(
+                        !node.is_dirty(off as u16),
+                        "dirty bit {vtpn}:{off} uncached"
+                    );
+                    continue;
+                }
+                filled += 1;
+                let e = node.entries.get(node.entries.handle_at(s as u32));
+                assert_eq!(
+                    e.map(|e| e.offset as usize),
+                    Some(off),
+                    "offset slot {vtpn}:{off}"
+                );
+            }
+            assert_eq!(filled, node.len(), "offset slots of vtpn {vtpn}");
+            cached += 1;
+            bytes += NODE_BYTES + node.len() * ENTRY_BYTES;
+        }
+        assert_eq!(self.order.len(), cached, "heap size");
+        for &slot in &nodes.free {
+            let slot = slot as usize;
+            assert!(
+                !std::mem::replace(&mut owned[slot], true),
+                "free slot {slot} in use"
+            );
+            let node = &nodes.slab[slot];
+            assert!(
+                node.entries.is_empty()
+                    && node.stamp_sum == 0
+                    && node.dirty == [0; DIRTY_WORDS]
+                    && node.by_offset.iter().all(|&s| s == NO_ENTRY),
+                "free slab slot {slot} not empty"
+            );
+        }
+        assert!(
+            owned.iter().all(|&o| o),
+            "slab slot neither cached nor free"
+        );
+        for i in 1..self.order.len() {
+            assert!(
+                self.order[(i - 1) / 2] <= self.order[i],
+                "heap property at {i}"
+            );
+        }
+        assert_eq!(self.bytes_used, bytes, "byte accounting");
+        assert!(self.bytes_used <= self.budget_bytes, "over budget");
     }
 }
 
@@ -687,7 +857,7 @@ impl Ftl for TpFtl {
         let offset = env.offset_of(lpn);
         let node = self
             .nodes
-            .get_mut(&vtpn)
+            .get_mut(vtpn)
             .expect("update_mapping contract: entry was translated immediately before");
         let idx = node.idx_of(offset).expect("entry cached");
         node.entries.get_mut(idx).expect("valid handle").ppn = new_ppn;
@@ -704,7 +874,7 @@ impl Ftl for TpFtl {
             let offset = env.offset_of(lpn);
             match self
                 .nodes
-                .get_mut(&vtpn)
+                .get_mut(vtpn)
                 .and_then(|n| n.idx_of(offset).map(|idx| (n, idx)))
             {
                 Some((node, idx)) => {
@@ -724,7 +894,7 @@ impl Ftl for TpFtl {
                 // The offsets are disjoint from the misses' (a miss is
                 // never cached), so the page is patched the same in any
                 // order.
-                if let Some(node) = nodes.get_mut(&vtpn) {
+                if let Some(node) = nodes.get_mut(vtpn) {
                     node.take_dirty(updates);
                 }
             }
@@ -739,7 +909,7 @@ impl Ftl for TpFtl {
     }
 
     fn cached_entries(&self) -> usize {
-        self.nodes.values().map(TpNode::len).sum()
+        self.nodes.iter().map(|(_, n)| n.len()).sum()
     }
 
     fn peek_cached(&self, env: &SsdEnv, lpn: Lpn) -> crate::Result<Option<Option<Ppn>>> {
@@ -749,23 +919,20 @@ impl Ftl for TpFtl {
     }
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
-        if let Some(node) = self.nodes.get_mut(&vtpn) {
+        if let Some(node) = self.nodes.get_mut(vtpn) {
             node.dirty = [0; DIRTY_WORDS];
         }
     }
 
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
-        let mut out: Vec<TpDistEntry> = self
-            .nodes
+        self.nodes
             .iter()
-            .map(|(&vtpn, n)| TpDistEntry {
+            .map(|(vtpn, n)| TpDistEntry {
                 vtpn,
                 entries: n.len() as u32,
                 dirty: n.dirty_count(),
             })
-            .collect();
-        out.sort_unstable_by_key(|d| d.vtpn);
-        out
+            .collect()
     }
 }
 
@@ -1065,14 +1232,8 @@ mod tests {
                 "budget exceeded at access {i}"
             );
         }
-        // Invariants: node byte accounting is exact.
-        let expect: usize = ftl
-            .nodes
-            .values()
-            .map(|n| NODE_BYTES + n.len() * ENTRY_BYTES)
-            .sum();
-        assert_eq!(ftl.cache_bytes_used(), expect);
-        assert_eq!(ftl.order.len(), ftl.nodes.len());
+        // Node byte accounting is exact, among the other layout invariants.
+        ftl.check_invariants();
     }
 
     #[test]
@@ -1121,6 +1282,7 @@ mod tests {
     #[test]
     fn order_heap_invariants_hold_under_random_workload() {
         let (mut ftl, mut env) = setup_sized(64 << 20, 400, "rsbc");
+        let mut peak_nodes = 0;
         for i in 0..4000u32 {
             let lpn = (i.wrapping_mul(2654435761) >> 8) % 16384;
             driver::serve_page_access(
@@ -1133,28 +1295,21 @@ mod tests {
                 },
             )
             .unwrap();
-            // The heap mirrors the node map exactly...
-            assert_eq!(ftl.order.len(), ftl.nodes.len());
+            // Slab, per-VTPN slots and heap agree; keys are the hotness;
+            // the min-heap property holds, so order[0] is the coldest.
+            ftl.check_invariants();
+            peak_nodes = peak_nodes.max(ftl.order.len());
         }
         assert!(
             ftl.order.len() >= 4,
             "workload too small to exercise the heap"
         );
-        // ...every slot's key and back-pointer are in sync with its node...
-        for (i, &(key, vtpn)) in ftl.order.iter().enumerate() {
-            let node = &ftl.nodes[&vtpn];
-            assert_eq!(node.heap_pos as usize, i, "back-pointer of vtpn {vtpn}");
-            assert_eq!(node.hot_key, key, "stale key for vtpn {vtpn}");
-            assert_eq!(node.hotness(), key, "key != hotness for vtpn {vtpn}");
-        }
-        // ...and the min-heap property holds, so order[0] is the coldest.
-        for i in 1..ftl.order.len() {
-            let parent = (i - 1) / 2;
-            assert!(
-                ftl.order[parent] <= ftl.order[i],
-                "heap property violated at slot {i}"
-            );
-        }
+        assert!(
+            env.stats.replacements > 0,
+            "workload too small to dismantle nodes"
+        );
+        // Dismantled nodes' slab slots are reused before the slab grows.
+        assert_eq!(ftl.nodes.slab.len(), peak_nodes, "slab outgrew the peak");
     }
 
     /// Checks one node's dirty bitmap against the model's dirty LPNs and
@@ -1265,7 +1420,7 @@ mod tests {
                     _ => {
                         // Flush one cached page, then mark it clean (the
                         // `mark_clean` contract).
-                        let Some(&vtpn) = ftl.nodes.keys().min() else {
+                        let Some((vtpn, _)) = ftl.nodes.iter().next() else {
                             continue;
                         };
                         let updates: Vec<(u16, Ppn)> = dirty
@@ -1298,9 +1453,12 @@ mod tests {
                     let want = dirty.range(d.vtpn * 1024..(d.vtpn + 1) * 1024).count();
                     assert_eq!(d.dirty as usize, want, "{ctx}: distribution of {}", d.vtpn);
                 }
-                for (&vtpn, node) in ftl.nodes.iter_mut() {
+                let cached: Vec<Vtpn> = ftl.nodes.iter().map(|(vtpn, _)| vtpn).collect();
+                for vtpn in cached {
+                    let node = ftl.nodes.get_mut(vtpn).expect("cached");
                     check_node(&env, vtpn, node, &dirty, &ctx);
                 }
+                ftl.check_invariants();
             }
             assert!(
                 env.stats.dirty_replacements > 0,

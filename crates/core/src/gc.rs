@@ -38,8 +38,7 @@ pub fn ensure_free<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()>
 ///
 /// [`FtlError::DeviceFull`] when no sealed block has a reclaimable page.
 pub fn collect_one<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()> {
-    let policy = env.config().gc_policy;
-    let (victim, class) = env.blocks.pick_victim(policy).ok_or(FtlError::DeviceFull)?;
+    let (victim, class) = env.blocks.pick_victim().ok_or(FtlError::DeviceFull)?;
     match class {
         AllocClass::Data => collect_data_block(ftl, env, victim),
         AllocClass::Translation => collect_translation_block(env, victim),

@@ -19,24 +19,14 @@ pub struct LruIdx {
 }
 
 impl LruIdx {
-    /// Sentinel handle that resolves to nothing, for dense index tables
-    /// (`Box<[LruIdx]>`) where an `Option` would double the entry size.
-    /// No live handle ever equals it: slots never reach `u32::MAX`.
-    pub const NONE: LruIdx = LruIdx {
-        slot: NIL,
-        gen: u32::MAX,
-    };
-
-    /// Whether this is the [`LruIdx::NONE`] sentinel.
+    /// The slab slot this handle points at. A list never longer than `n`
+    /// keeps every element in a slot below `n` (freed slots are reused
+    /// before the slab grows), so a dense index table can store bare
+    /// slots in a narrow integer and resolve them with
+    /// [`LruList::handle_at`].
     #[inline]
-    pub fn is_none(self) -> bool {
-        self.slot == NIL
-    }
-}
-
-impl Default for LruIdx {
-    fn default() -> Self {
-        Self::NONE
+    pub fn slot(self) -> u32 {
+        self.slot
     }
 }
 
@@ -265,6 +255,19 @@ impl<V> LruList<V> {
         }
     }
 
+    /// Handle of the element now living in slab slot `slot` (see
+    /// [`LruIdx::slot`]). The handle carries the slot's current
+    /// generation, so it resolves to whatever occupies the slot: a table
+    /// of bare slots must be kept in sync with the list by its owner.
+    /// A free slot yields a handle that resolves to nothing.
+    #[inline]
+    pub fn handle_at(&self, slot: u32) -> LruIdx {
+        LruIdx {
+            slot,
+            gen: self.slots[slot as usize].gen,
+        }
+    }
+
     /// Shared access to the element behind `idx`, or `None` if stale.
     pub fn get(&self, idx: LruIdx) -> Option<&V> {
         let s = self.slots.get(idx.slot as usize)?;
@@ -458,6 +461,21 @@ mod tests {
         l.remove(a);
         l.push_mru(2);
         l.touch(a);
+    }
+
+    #[test]
+    fn slot_roundtrips_through_handle_at() {
+        let mut l = LruList::new();
+        let a = l.push_mru('a');
+        let b = l.push_mru('b');
+        assert_eq!(l.handle_at(a.slot()), a);
+        assert_eq!(l.get(l.handle_at(b.slot())), Some(&'b'));
+        l.remove(a);
+        assert!(l.get(l.handle_at(a.slot())).is_none(), "free slot");
+        let c = l.push_mru('c'); // reuses a's slot under a new generation
+        assert_eq!(c.slot(), a.slot());
+        assert_eq!(l.handle_at(a.slot()), c);
+        assert!(l.get(a).is_none());
     }
 
     #[test]
