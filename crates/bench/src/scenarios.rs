@@ -341,7 +341,7 @@ pub fn bench_replay_semiseq(kind: FtlKind, samples: usize, requests: usize) -> R
 
 /// Macro replay across flash topologies: the Financial1 trace on a device
 /// with `channels` channels (one way each, no bus overhead, so the
-/// 1-channel row is directly comparable to the serial model). The wall
+/// 1-channel row is the paper's single-unit device). The wall
 /// clock is secondary here; the row's payload is the *simulated* timing —
 /// device time, makespan and response percentiles from the unit-clock
 /// model — which must improve monotonically as channels are added.

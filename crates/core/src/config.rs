@@ -7,7 +7,9 @@
 //! Financial configuration; 256 KB + 16 KB for the 16 GB MSR one).
 
 use serde::{Deserialize, Serialize};
-use tpftl_flash::{FlashGeometry, FlashTopology};
+use tpftl_flash::{FlashError, FlashGeometry, FlashTopology};
+
+use crate::{FtlError, Result};
 
 /// Garbage-collection victim-selection policy (Section 2.3 of the paper
 /// surveys GC-policy and wear-leveling work; the paper itself uses greedy).
@@ -222,7 +224,8 @@ impl SsdConfig {
     ///
     /// # Panics
     ///
-    /// Panics when [`SsdConfig::supports_shards`] is false.
+    /// Panics when [`SsdConfig::supports_shards`] is false; see
+    /// [`SsdConfig::try_shard_config`] for the fallible form.
     ///
     /// # Examples
     ///
@@ -236,14 +239,24 @@ impl SsdConfig {
     /// assert_eq!(whole.shard_config(1), whole);
     /// ```
     pub fn shard_config(&self, num_shards: u32) -> SsdConfig {
-        assert!(
-            self.supports_shards(num_shards),
-            "cannot split {} logical pages into {num_shards} shards \
-             (need a power of two dividing the translation-page count)",
-            self.logical_pages()
-        );
+        self.try_shard_config(num_shards).unwrap_or_else(|_| {
+            panic!(
+                "cannot split {} logical pages into {num_shards} shards \
+                 (need a power of two dividing the translation-page count)",
+                self.logical_pages()
+            )
+        })
+    }
+
+    /// [`SsdConfig::shard_config`], failing with
+    /// `FtlError::Flash(FlashError::InvalidGeometry)` when
+    /// [`SsdConfig::supports_shards`] is false.
+    pub fn try_shard_config(&self, num_shards: u32) -> Result<SsdConfig> {
+        if !self.supports_shards(num_shards) {
+            return Err(FtlError::Flash(FlashError::InvalidGeometry));
+        }
         if num_shards == 1 {
-            return self.clone();
+            return Ok(self.clone());
         }
         let n = num_shards as u64;
         let mut cfg = SsdConfig {
@@ -260,7 +273,7 @@ impl SsdConfig {
         let blocks = cfg.geometry().num_blocks;
         cfg.gc_low_blocks = (blocks / 300).clamp(2, 8);
         cfg.gc_high_blocks = cfg.gc_low_blocks + 1;
-        cfg
+        Ok(cfg)
     }
 }
 
@@ -351,6 +364,18 @@ mod tests {
     #[should_panic(expected = "cannot split")]
     fn shard_config_rejects_unsupported_counts() {
         let _ = SsdConfig::paper_default(4 << 20).shard_config(2);
+    }
+
+    #[test]
+    fn try_shard_config_returns_a_typed_error() {
+        let cfg = SsdConfig::paper_default(512 << 20);
+        assert_eq!(cfg.try_shard_config(4).unwrap(), cfg.shard_config(4));
+        for bad in [0, 3, 256] {
+            assert_eq!(
+                cfg.try_shard_config(bad),
+                Err(FtlError::Flash(FlashError::InvalidGeometry))
+            );
+        }
     }
 
     #[test]

@@ -15,34 +15,44 @@
 //!                       (default greedy)
 //!   --streams N         hot/cold data streams for GC data separation
 //!                       (default 1 = no separation)
-//!   --buffer PAGES      host write buffer size (default none)
-//!   --shards N          replay on the sharded multi-queue engine with N
-//!                       LPN-striped shards (power of two, default 1)
+//!   --buffer PAGES      host write buffer size, split evenly over the
+//!                       shards (default none)
+//!   --shards N          stripe the LPN space over N shards, each with its
+//!                       own worker thread and device (power of two
+//!                       dividing the translation-page count, default 1)
 //!   --channels N        flash channels for the unit-clock timing model
 //!                       (default 1; ops on distinct channels overlap)
 //!   --ways N            ways (dies) per channel                (default 1)
 //!   --bus-us F          channel bus transfer time per page in µs
 //!                       (default 0 = bus not modeled)
 //!   --backing PATH      mirror the flash array to a persistent device
-//!                       file at PATH (created/truncated; fsynced after
-//!                       the run). Single-queue engine only.
+//!                       file at PATH, or PATH.{i} per shard when N > 1
+//!                       (created/truncated; fsynced after the run)
 //!   --open-loop RATE    drive the trace open-loop at RATE requests per
-//!                       second of wall-clock time through the sharded
-//!                       engine's NVMe-style queue pairs and report
-//!                       offered vs achieved throughput with response
-//!                       percentiles measured against the arrival
-//!                       schedule (no coordinated omission)
+//!                       second of wall-clock time through the shards'
+//!                       NVMe-style queue pairs and report offered vs
+//!                       achieved throughput with response percentiles
+//!                       measured against the arrival schedule (no
+//!                       coordinated omission)
 //!   --qd N              per-shard submission-queue depth for --open-loop
 //!                       (power of two, default 64)
-//!   --json              emit the full RunReport as JSON
+//!   --json              emit the ShardedRunReport as JSON (under
+//!                       --open-loop, wrapped with the wall-clock numbers)
 //! ```
+//!
+//! Every flag composes with every other: each run builds N shards (each
+//! with its share of the buffer and its own backing file), replays the
+//! trace closed- or open-loop, then flushes every buffer and syncs every
+//! backing file.
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use tpftl_core::config::GcPolicy;
 use tpftl_core::ftl::{FastFtl, Ftl, TpftlConfig, Zftl};
+use tpftl_core::SsdConfig;
 use tpftl_experiments::runner::FtlKind;
-use tpftl_sim::{OpenLoopOpts, ShardedSsd, Ssd};
+use tpftl_sim::{BufferStats, OpenLoopOpts, ShardedSsd, Ssd};
 use tpftl_trace::presets::Workload;
 use tpftl_trace::{parse, IoRequest};
 
@@ -152,12 +162,7 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--buffer" => o.buffer = value("--buffer")?.parse().map_err(|e| format!("{e}"))?,
-            "--shards" => {
-                o.shards = value("--shards")?.parse().map_err(|e| format!("{e}"))?;
-                if !o.shards.is_power_of_two() {
-                    return Err(format!("--shards must be a power of two, got {}", o.shards));
-                }
-            }
+            "--shards" => o.shards = value("--shards")?.parse().map_err(|e| format!("{e}"))?,
             "--channels" => {
                 o.channels = value("--channels")?.parse().map_err(|e| format!("{e}"))?
             }
@@ -217,7 +222,7 @@ fn parse_ftl(name: &str) -> Result<FtlSpec, String> {
 }
 
 impl FtlSpec {
-    fn build(&self, config: &tpftl_core::SsdConfig) -> tpftl_core::Result<Box<dyn Ftl + Send>> {
+    fn build(&self, config: &SsdConfig) -> tpftl_core::Result<Box<dyn Ftl + Send>> {
         Ok(match self {
             FtlSpec::Kind(kind) => kind.build(config)?,
             FtlSpec::Fast => Box::new(FastFtl::with_defaults(config)),
@@ -238,24 +243,22 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    match simulate(&o) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
+fn simulate(o: &Options) -> Result<(), String> {
     // Trace first (it determines the address space when present).
     let trace: Vec<IoRequest> = match &o.trace {
         Some(path) => {
-            let content = match std::fs::read_to_string(path) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match parse::parse_auto(&content) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot parse {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let content =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            parse::parse_auto(&content).map_err(|e| format!("cannot parse {path}: {e}"))?
         }
         None => o.workload.spec(o.requests).generate(o.seed),
     };
@@ -267,7 +270,7 @@ fn main() -> ExitCode {
         }
         None => o.workload.address_bytes(),
     };
-    let mut config = tpftl_core::SsdConfig::paper_default(logical);
+    let mut config = SsdConfig::paper_default(logical);
     if let Some(f) = o.cache_frac {
         config = config.with_cache_fraction(f);
     }
@@ -284,79 +287,93 @@ fn main() -> ExitCode {
     config.topology.channels = o.channels;
     config.topology.ways = o.ways;
     config.topology.bus_us = o.bus_us;
-    if let Err(e) = config.topology.validate() {
-        eprintln!("invalid topology: {e}");
-        return ExitCode::FAILURE;
-    }
+    config
+        .topology
+        .validate()
+        .map_err(|e| format!("invalid topology: {e}"))?;
 
-    let spec = match parse_ftl(&o.ftl) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
+    let spec = parse_ftl(&o.ftl)?;
+    let shard_config = config.try_shard_config(o.shards).map_err(|e| {
+        format!(
+            "cannot split {} logical pages into {} shards: {e}",
+            config.logical_pages(),
+            o.shards
+        )
+    })?;
+    let shards = (0..o.shards)
+        .map(|i| build_shard(o, &spec, &shard_config, i))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut ssd = ShardedSsd::from_shards(shards).map_err(|e| format!("cannot build SSD: {e}"))?;
+
+    let started = Instant::now();
+    let failed = |e| format!("simulation failed: {e}");
+    let (report, open) = match o.open_loop {
+        None => (ssd.run(trace).map_err(failed)?, None),
+        Some(rate) => {
+            let opts = OpenLoopOpts {
+                offered_rps: rate,
+                queue_depth: o.qd,
+            };
+            let out = ssd.run_open_loop(trace, opts).map_err(failed)?;
+            (out.report.clone(), Some(out))
         }
     };
 
-    if let Some(rate) = o.open_loop {
-        if o.buffer > 0 || o.backing.is_some() {
-            eprintln!("--buffer/--backing are not supported with --open-loop");
-            return ExitCode::FAILURE;
+    // Unmount: flush every write buffer, then make each backing image
+    // durable on real media before reporting.
+    let mut buffered: Option<BufferStats> = None;
+    for mut shard in ssd.into_shards() {
+        if let Err(e) = shard.flush_buffer() {
+            eprintln!("warning: buffer flush failed: {e}");
         }
-        if !config.supports_shards(o.shards) {
-            eprintln!(
-                "cannot split {} logical pages into {} shards",
-                config.logical_pages(),
-                o.shards
-            );
-            return ExitCode::FAILURE;
+        if let Some(b) = shard.buffer_stats() {
+            let sum = buffered.get_or_insert_with(BufferStats::default);
+            sum.write_absorbed += b.write_absorbed;
+            sum.write_inserted += b.write_inserted;
+            sum.read_hits += b.read_hits;
         }
-        let mut ssd = match ShardedSsd::new(&config, o.shards, |_, c| spec.build(c)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot build sharded SSD: {e}");
-                return ExitCode::FAILURE;
+        if o.backing.is_some() {
+            if let Err(e) = shard.into_env().into_flash().sync_backing() {
+                eprintln!("warning: backing sync failed: {e}");
+            }
+        }
+    }
+
+    if o.json {
+        let json = match &open {
+            None => serde_json::to_string_pretty(&report),
+            Some(out) => {
+                use serde_json::Value;
+                let doc = Value::Object(vec![
+                    ("offered_rps".to_string(), Value::Float(out.offered_rps)),
+                    ("achieved_rps".to_string(), Value::Float(out.achieved_rps)),
+                    ("requests".to_string(), Value::UInt(out.requests)),
+                    ("sub_requests".to_string(), Value::UInt(out.sub_requests)),
+                    ("wall_us".to_string(), Value::Float(out.wall_us)),
+                    ("resp_avg_us".to_string(), Value::Float(out.resp_avg_us)),
+                    ("resp_p50_us".to_string(), Value::Float(out.resp_p50_us)),
+                    ("resp_p99_us".to_string(), Value::Float(out.resp_p99_us)),
+                    ("resp_p999_us".to_string(), Value::Float(out.resp_p999_us)),
+                    ("backlog_peak".to_string(), Value::UInt(out.backlog_peak)),
+                    ("parks".to_string(), Value::UInt(out.doorbells.parks)),
+                    ("wakeups".to_string(), Value::UInt(out.doorbells.wakeups)),
+                    (
+                        "report".to_string(),
+                        serde_json::to_value(&report).expect("serializable"),
+                    ),
+                ]);
+                serde_json::to_string_pretty(&doc)
             }
         };
-        let opts = OpenLoopOpts {
-            offered_rps: rate,
-            queue_depth: o.qd,
-        };
-        let out = match ssd.run_open_loop(trace, opts) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("simulation failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if o.json {
-            use serde_json::Value;
-            let report = serde_json::to_value(&out.report).expect("serializable");
-            let doc = Value::Object(vec![
-                ("offered_rps".to_string(), Value::Float(out.offered_rps)),
-                ("achieved_rps".to_string(), Value::Float(out.achieved_rps)),
-                ("requests".to_string(), Value::UInt(out.requests as u64)),
-                ("sub_requests".to_string(), Value::UInt(out.sub_requests)),
-                ("wall_us".to_string(), Value::Float(out.wall_us)),
-                ("resp_avg_us".to_string(), Value::Float(out.resp_avg_us)),
-                ("resp_p50_us".to_string(), Value::Float(out.resp_p50_us)),
-                ("resp_p99_us".to_string(), Value::Float(out.resp_p99_us)),
-                ("resp_p999_us".to_string(), Value::Float(out.resp_p999_us)),
-                ("backlog_peak".to_string(), Value::UInt(out.backlog_peak)),
-                ("parks".to_string(), Value::UInt(out.doorbells.parks)),
-                ("wakeups".to_string(), Value::UInt(out.doorbells.wakeups)),
-                ("report".to_string(), report),
-            ]);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&doc).expect("serializable")
-            );
-            return ExitCode::SUCCESS;
-        }
-        print_report(&out.report.merged, &config);
-        println!(
-            "shards:              {} (per-shard requests {:?}, imbalance {:.3})",
-            o.shards, out.report.load.requests, out.report.load.imbalance
-        );
+        println!("{}", json.expect("serializable"));
+        return Ok(());
+    }
+    print_report(&report.merged, &config);
+    println!(
+        "shards:              {} (per-shard requests {:?}, imbalance {:.3})",
+        o.shards, report.load.requests, report.load.imbalance
+    );
+    if let Some(out) = &open {
         println!(
             "open loop:           offered {:.0} req/s, achieved {:.0} req/s (qd {})",
             out.offered_rps, out.achieved_rps, o.qd
@@ -369,135 +386,63 @@ fn main() -> ExitCode {
             "queueing:            backlog peak {}, {} parks / {} wakeups",
             out.backlog_peak, out.doorbells.parks, out.doorbells.wakeups
         );
-        return ExitCode::SUCCESS;
     }
-
-    if o.shards > 1 {
-        if o.buffer > 0 {
-            eprintln!("--buffer is not supported with --shards");
-            return ExitCode::FAILURE;
-        }
-        if o.backing.is_some() {
-            eprintln!("--backing is not supported with --shards (single-queue engine only)");
-            return ExitCode::FAILURE;
-        }
-        if !config.supports_shards(o.shards) {
-            eprintln!(
-                "cannot split {} logical pages into {} shards",
-                config.logical_pages(),
-                o.shards
-            );
-            return ExitCode::FAILURE;
-        }
-        let mut ssd = match ShardedSsd::new(&config, o.shards, |_, c| spec.build(c)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot build sharded SSD: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let started = std::time::Instant::now();
-        let report = match ssd.run(trace) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("simulation failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if o.json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&report).expect("serializable")
-            );
-            return ExitCode::SUCCESS;
-        }
-        print_report(&report.merged, &config);
-        println!(
-            "shards:              {} (per-shard requests {:?}, imbalance {:.3})",
-            o.shards, report.load.requests, report.load.imbalance
-        );
-        println!("wall clock:          {:.2?}", started.elapsed());
-        return ExitCode::SUCCESS;
-    }
-
-    let ftl = match spec.build(&config) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot build FTL: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut ssd = match &o.backing {
-        None => match Ssd::new(ftl, config.clone()) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot build SSD: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Some(path) => {
-            let flash = match tpftl_flash::Flash::create_file(config.geometry(), path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cannot create backing file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match Ssd::with_flash(ftl, config.clone(), flash) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot build SSD: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    };
-    if o.buffer > 0 {
-        ssd = ssd.with_write_buffer(o.buffer);
-    }
-
-    let started = std::time::Instant::now();
-    let report = match ssd.run(trace) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("simulation failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if ssd.flush_buffer().is_err() {
-        eprintln!("warning: buffer flush failed");
-    }
-    let buffer_stats = ssd.buffer_stats();
-    if o.backing.is_some() {
-        // Make the finished image durable on real media before reporting.
-        let mut flash = ssd.into_env().into_flash();
-        if let Err(e) = flash.sync_backing() {
-            eprintln!("warning: backing sync failed: {e}");
-        }
-    }
-
-    if o.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).expect("serializable")
-        );
-        return ExitCode::SUCCESS;
-    }
-    print_report(&report, &config);
-    if let Some(b) = buffer_stats {
+    if let Some(b) = buffered {
         println!(
             "write buffer:        {} absorbed, {} inserted, {} read hits",
             b.write_absorbed, b.write_inserted, b.read_hits
         );
     }
-    if let Some(path) = &o.backing {
-        println!("backing file:        {path} (synced)");
+    if o.backing.is_some() {
+        let files: Vec<String> = (0..o.shards).filter_map(|i| backing_path(o, i)).collect();
+        println!("backing file:        {} (synced)", files.join(", "));
     }
     println!("wall clock:          {:.2?}", started.elapsed());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn print_report(report: &tpftl_sim::RunReport, config: &tpftl_core::SsdConfig) {
+/// Builds shard `index` of `o.shards` on its `1/N` configuration, exactly
+/// as a single-queue device: its own backing file and its share of the
+/// write buffer (integer division, like the cache budget; a share of
+/// zero pages means no buffer).
+fn build_shard(
+    o: &Options,
+    spec: &FtlSpec,
+    config: &SsdConfig,
+    index: u32,
+) -> Result<Ssd<Box<dyn Ftl + Send>>, String> {
+    let ftl = spec
+        .build(config)
+        .map_err(|e| format!("cannot build FTL: {e}"))?;
+    let built = match backing_path(o, index) {
+        None => Ssd::new(ftl, config.clone()),
+        Some(path) => {
+            let flash = tpftl_flash::Flash::create_file(config.geometry(), &path)
+                .map_err(|e| format!("cannot create backing file {path}: {e}"))?;
+            Ssd::with_flash(ftl, config.clone(), flash)
+        }
+    };
+    let ssd = built.map_err(|e| format!("cannot build SSD: {e}"))?;
+    let pages = o.buffer / o.shards as usize;
+    Ok(if pages > 0 {
+        ssd.with_write_buffer(pages)
+    } else {
+        ssd
+    })
+}
+
+/// Shard `index`'s backing file: `--backing PATH` itself for one shard,
+/// `PATH.{index}` otherwise.
+fn backing_path(o: &Options, index: u32) -> Option<String> {
+    let path = o.backing.as_ref()?;
+    Some(if o.shards == 1 {
+        path.clone()
+    } else {
+        format!("{path}.{index}")
+    })
+}
+
+fn print_report(report: &tpftl_sim::RunReport, config: &SsdConfig) {
     println!("ftl:                 {}", report.ftl);
     println!(
         "device:              {} MB, cache {} B",

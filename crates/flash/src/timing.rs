@@ -18,10 +18,17 @@
 //! serialization still applies after a relax, so independent chains only
 //! overlap where the geometry really allows it.
 //!
-//! With 1 channel, 1 way and no bus cost, every op starts exactly when
-//! the previous op finished, so the device clock accumulates `t += l` in
-//! the same order `FlashStats::busy_us` does — bit-identical to the
-//! serial model (a property test in `tests/timing_props.rs` pins this).
+//! With 1 channel, 1 way, no bus cost and no relaxation, every op starts
+//! exactly when the previous op finished, so the device clock accumulates
+//! `t += l` in the same order `FlashStats::busy_us` does — bit-identical
+//! to a serial device (a property test in `tests/timing_props.rs` pins
+//! this). A relaxation can make even one unit finish a command stream
+//! earlier than the serial sum: the stream stops waiting for an
+//! independent chain it issued (a fire-and-forget writeback), though the
+//! unit still serializes the chain's ops.
+//!
+//! These clocks are the simulator's only timing model: request response
+//! times (`tpftl_sim::Ssd`) are read off them.
 
 use crate::geometry::FlashTopology;
 

@@ -5,11 +5,10 @@
 //! Binds together the flash device model ([`tpftl_flash`]), the FTL
 //! framework ([`tpftl_core`]) and the workloads ([`tpftl_trace`]) the way
 //! FlashSim does in the paper: requests are split into 4 KB page accesses
-//! and served in arrival order by a single device whose service time is the
-//! sum of the flash-operation latencies each access incurs (address
-//! translation, user data access, and garbage collection). The *system
-//! response time* therefore includes the queuing delay, exactly the metric
-//! of Figure 6(e).
+//! and served in arrival order, each flash operation (address translation,
+//! user data access, garbage collection) timed on the device's channel/way
+//! unit clocks. The *system response time* therefore includes the queuing
+//! delay, exactly the metric of Figure 6(e).
 
 mod buffer;
 mod crash;

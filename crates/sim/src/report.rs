@@ -5,13 +5,15 @@ use tpftl_core::env::GcStats;
 use tpftl_core::FtlStats;
 use tpftl_flash::{FlashStats, OpPurpose};
 
-/// Simulated-time metrics from the channel/way unit-clock timing model.
+/// Simulated-time metrics from the channel/way unit-clock timing model,
+/// the simulator's only clock.
 ///
 /// All zeros (including `channels`/`ways`) on reports recorded before the
-/// model existed. On a 1-channel/1-way device the unit-clock numbers agree
-/// with the serial FIFO model's (`makespan_us` tracks `busy_us` bit for
-/// bit when the device never idles); with more units, independent flash
-/// ops overlap and the device time and tail latencies compress.
+/// model existed. With more units, independent flash ops overlap and the
+/// device time and tail latencies compress. Even on a 1-channel/1-way
+/// device a response can undercut the serial sum of its flash latencies:
+/// a fire-and-forget translation writeback occupies the unit but not the
+/// request's critical path (DESIGN.md §11).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct SimTiming {
     /// Channels of the device that produced this report.
@@ -47,7 +49,10 @@ pub struct RunReport {
     pub flash: FlashStats,
     /// GC aggregates (`N_gcd`, `V_d`, `N_gct`, `V_t`).
     pub gc: GcStats,
-    /// Mean system response time in microseconds (queuing included).
+    /// Mean system response time in microseconds (queuing included):
+    /// always equal to `sim.resp_avg_us`. The field stays so existing
+    /// readers (the paper figures, reports built as struct literals) keep
+    /// working; new code should read `sim`.
     pub avg_response_us: f64,
     /// Mapping entries cached at the end of the run.
     pub cached_entries: usize,

@@ -15,7 +15,7 @@
 //! thread routes (and, for multi-page requests, splits) the incoming
 //! stream by the low LPN bits (see `tpftl_trace::ShardSplitter`).
 //!
-//! Two drive modes:
+//! One driver runs the worker threads; two host loops pace it:
 //!
 //! * [`ShardedSsd::run`] — closed-loop replay: submit as fast as the
 //!   queues accept, measure deterministic counters and simulated clocks.
@@ -26,6 +26,10 @@
 //!   is measured against its *scheduled* arrival. Reports offered vs
 //!   achieved throughput and p50/p99/p999 wall-clock latency.
 //!
+//! The shards are ordinary [`Ssd`]s: [`ShardedSsd::from_shards`] accepts
+//! any built the way a single-queue device is (write buffer, file-backed
+//! flash), and [`ShardedSsd::new`] builds plain ones.
+//!
 //! # Determinism
 //!
 //! Thread interleaving can never change the result: each shard's
@@ -33,11 +37,12 @@
 //! order, fixed by the single splitter), each shard's state is private, so
 //! every per-shard [`RunReport`] is a pure function of (config, trace,
 //! shard index). The merge then folds the per-shard reports **in shard
-//! order**, so even the floating-point sums (`busy_us`, the response-time
-//! average) are bit-reproducible run to run. With one shard, the splitter
-//! emits exactly the original page spans into a single worker, and the
-//! merged report is the shard's report verbatim — bit-identical to the
-//! single-queue path (pinned by the sharded golden test). Open-loop runs
+//! order**, so even the floating-point sums (`busy_us`, the simulated
+//! response-time average) are bit-reproducible run to run. With one
+//! shard, the splitter emits exactly the original page spans into a
+//! single worker, and the merged report is the shard's report verbatim —
+//! bit-identical to the single-queue path (pinned by the sharded golden
+//! test). Open-loop runs
 //! keep all of this for the *simulated* report (the arrival schedule is a
 //! pure function of the offered rate); only the wall-clock latency
 //! histogram varies run to run.
@@ -48,8 +53,8 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 use tpftl_core::env::GcStats;
 use tpftl_core::ftl::Ftl;
-use tpftl_core::{FtlStats, Result, SsdConfig};
-use tpftl_flash::FlashStats;
+use tpftl_core::{FtlError, FtlStats, Result, SsdConfig};
+use tpftl_flash::{FlashError, FlashStats};
 use tpftl_trace::{fixed_rate, IoRequest, ShardSplitter};
 
 use crate::queue::{DoorbellStats, QueuePair};
@@ -108,8 +113,8 @@ impl ShardLoadStats {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardedRunReport {
     /// Aggregate over all shards. With one shard this is the shard's
-    /// report verbatim; otherwise counters are shard-order sums and
-    /// `avg_response_us` is the request-weighted mean.
+    /// report verbatim; otherwise counters are shard-order sums and the
+    /// response average is the request-weighted mean.
     pub merged: RunReport,
     /// One report per shard, in shard order.
     pub per_shard: Vec<RunReport>,
@@ -126,8 +131,6 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
     let mut ftl_stats = FtlStats::default();
     let mut flash = FlashStats::default();
     let mut gc = GcStats::default();
-    let mut response_weighted = 0.0;
-    let mut responses = 0u64;
     let mut cached_entries = 0usize;
     let mut cache_bytes_used = 0usize;
     let mut cache_bytes_total = 0usize;
@@ -147,8 +150,6 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
         ftl_stats.merge_from(&r.ftl_stats);
         flash.merge_from(&r.flash);
         gc.merge_from(&r.gc);
-        response_weighted += r.avg_response_us * r.ftl_stats.requests as f64;
-        responses += r.ftl_stats.requests;
         cached_entries += r.cached_entries;
         cache_bytes_used += r.cache_bytes_used;
         cache_bytes_total += r.cache_bytes_total;
@@ -156,19 +157,15 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
         sim.makespan_us = sim.makespan_us.max(r.sim.makespan_us);
         sim_resp_weighted += r.sim.resp_avg_us * r.ftl_stats.requests as f64;
     }
-    if responses > 0 {
-        sim.resp_avg_us = sim_resp_weighted / responses as f64;
+    if ftl_stats.requests > 0 {
+        sim.resp_avg_us = sim_resp_weighted / ftl_stats.requests as f64;
     }
     RunReport {
         ftl: per_shard[0].ftl.clone(),
         ftl_stats,
         flash,
         gc,
-        avg_response_us: if responses == 0 {
-            0.0
-        } else {
-            response_weighted / responses as f64
-        },
+        avg_response_us: sim.resp_avg_us,
         cached_entries,
         cache_bytes_used,
         cache_bytes_total,
@@ -230,19 +227,6 @@ pub struct OpenLoopReport {
     pub report: ShardedRunReport,
 }
 
-/// Completion entry of the closed-loop (batch) path.
-struct BatchDone {
-    failed: bool,
-}
-
-/// Completion entry of the open-loop (per-request) path.
-enum OpenLoopCqe {
-    /// Wall-clock response time vs the scheduled arrival, µs.
-    Done(f64),
-    /// The shard's serve failed; the worker keeps draining.
-    Failed,
-}
-
 // ---- The engine -------------------------------------------------------------
 
 /// `N` independent single-queue SSDs behind an LPN-striping splitter —
@@ -281,23 +265,41 @@ impl<F: Ftl + Send> ShardedSsd<F> {
     /// Builds and bootstraps one `1/num_shards`-geometry SSD per shard;
     /// `build` constructs each shard's FTL from `(shard_index, shard_config)`.
     ///
-    /// # Panics
-    ///
-    /// Panics when `config` cannot be partitioned into `num_shards` shards
-    /// (see `SsdConfig::supports_shards`).
+    /// Fails with `FtlError::Flash(FlashError::InvalidGeometry)` when
+    /// `config` cannot be partitioned into `num_shards` shards (see
+    /// `SsdConfig::supports_shards`).
     pub fn new<B>(config: &SsdConfig, num_shards: u32, build: B) -> Result<Self>
     where
         B: Fn(u32, &SsdConfig) -> Result<F>,
     {
-        let shard_config = config.shard_config(num_shards);
+        let shard_config = config.try_shard_config(num_shards)?;
         let shards = (0..num_shards)
             .map(|s| Ssd::new(build(s, &shard_config)?, shard_config.clone()))
             .collect::<Result<Vec<_>>>()?;
+        Self::from_shards(shards)
+    }
+
+    /// Runs prebuilt SSDs as the shards, in shard order. Each must be
+    /// built on the same `SsdConfig::shard_config(shards.len())`, like a
+    /// single-queue [`Ssd`] (with a write buffer, on file-backed flash,
+    /// ...). Fails with `FtlError::Flash(FlashError::InvalidGeometry)`
+    /// unless the shard count is a power of two.
+    pub fn from_shards(shards: Vec<Ssd<F>>) -> Result<Self> {
+        let n = u32::try_from(shards.len())
+            .ok()
+            .filter(|n| n.is_power_of_two())
+            .ok_or(FtlError::Flash(FlashError::InvalidGeometry))?;
         Ok(Self {
             shards,
-            splitter: ShardSplitter::new(num_shards, PAGE_BYTES),
+            splitter: ShardSplitter::new(n, PAGE_BYTES),
             last_doorbells: DoorbellStats::default(),
         })
+    }
+
+    /// The shard SSDs, in shard order (to flush buffers, sync backing
+    /// files, or power-cycle them).
+    pub fn into_shards(self) -> Vec<Ssd<F>> {
+        self.shards
     }
 
     /// Number of shards.
@@ -329,91 +331,14 @@ impl<F: Ftl + Send> ShardedSsd<F> {
     where
         I: IntoIterator<Item = IoRequest>,
     {
-        let n = self.shards.len();
         let splitter = self.splitter;
-        let pairs: Vec<QueuePair<Vec<IoRequest>, BatchDone>> = (0..n)
-            .map(|_| QueuePair::new(SQ_BATCHES, CQ_BATCHES))
-            .collect();
-        let shards = std::mem::take(&mut self.shards);
-
-        let joined: Vec<(Ssd<F>, Result<()>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .enumerate()
-                .map(|(i, ssd)| {
-                    let pair = &pairs[i];
-                    std::thread::Builder::new()
-                        .name(format!("ftl-shard-{i}"))
-                        .spawn_scoped(scope, move || shard_worker(ssd, pair))
-                        .expect("spawn shard worker")
-                })
-                .collect();
-
-            // The splitter runs on the submitting thread: route every
-            // request, batch per shard, push full batches, and harvest
-            // whatever completions have posted in the meantime.
-            let mut failed = false;
-            let mut pending: Vec<Vec<IoRequest>> =
-                (0..n).map(|_| Vec::with_capacity(BATCH_REQUESTS)).collect();
-            for req in trace {
-                harvest_batches(&pairs, &mut failed);
-                if failed {
-                    break;
-                }
-                splitter.split(&req, |shard, sub| pending[shard as usize].push(sub));
-                for (batch, pair) in pending.iter_mut().zip(&pairs) {
-                    if batch.len() >= BATCH_REQUESTS {
-                        let full = std::mem::replace(batch, Vec::with_capacity(BATCH_REQUESTS));
-                        // When the submission queue is full the push
-                        // keeps harvesting (the worker may be parked
-                        // behind a full completion queue) and parks with
-                        // a timeout instead of spinning.
-                        pair.sq
-                            .push_yielding(full, || harvest_batches(&pairs, &mut failed));
-                    }
-                }
-            }
-            for (batch, pair) in pending.iter_mut().zip(&pairs) {
-                if !batch.is_empty() {
-                    pair.sq.push_yielding(std::mem::take(batch), || {
-                        harvest_batches(&pairs, &mut failed)
-                    });
-                }
-                pair.sq.close();
-            }
-            // Final harvest, shard by shard: `pop_blocking` returns
-            // `None` exactly when a worker closed its completion queue
-            // after draining its submissions, and `CQ_BATCHES` slots are
-            // enough for every outstanding batch, so no worker can block
-            // while the host sleeps here.
-            for pair in &pairs {
-                while pair.cq.pop_blocking().is_some() {}
-            }
-
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-
-        self.last_doorbells = pairs
-            .iter()
-            .map(QueuePair::doorbell_stats)
-            .fold(DoorbellStats::default(), DoorbellStats::merge);
-
-        let mut first_err = None;
-        let mut ssds = Vec::with_capacity(n);
-        for (ssd, res) in joined {
-            if let (Err(e), None) = (res, &first_err) {
-                first_err = Some(e);
-            }
-            ssds.push(ssd);
-        }
-        self.shards = ssds;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(self.report()),
-        }
+        self.drive(
+            SQ_BATCHES,
+            CQ_BATCHES,
+            |_: &Vec<IoRequest>, ok| ok,
+            |pairs| submit_batches(pairs, splitter, trace),
+        )?;
+        Ok(self.report())
     }
 
     /// Drives the shards at a fixed wall-clock arrival rate (open loop).
@@ -436,170 +361,34 @@ impl<F: Ftl + Send> ShardedSsd<F> {
             opts.queue_depth.is_power_of_two(),
             "queue depth not a power of two"
         );
-        let n = self.shards.len();
         let splitter = self.splitter;
+        let epoch = Instant::now();
+        let wall_us = move || epoch.elapsed().as_secs_f64() * 1e6;
         // Completion queues get headroom over the submission depth so a
         // worker rarely waits on the host; the host still harvests on
         // every pacing tick.
-        let cq_depth = (opts.queue_depth * 2).max(64);
-        let pairs: Vec<QueuePair<IoRequest, OpenLoopCqe>> = (0..n)
-            .map(|_| QueuePair::new(opts.queue_depth, cq_depth))
-            .collect();
-        let shards = std::mem::take(&mut self.shards);
-        let epoch = Instant::now();
+        let host = self.drive(
+            opts.queue_depth,
+            (opts.queue_depth * 2).max(64),
+            |sub: &[IoRequest; 1], ok| ok.then(|| (wall_us() - sub[0].arrival_us).max(0.0)),
+            |pairs| {
+                submit_paced(
+                    pairs,
+                    splitter,
+                    fixed_rate(trace, opts.offered_rps),
+                    wall_us,
+                )
+            },
+        )?;
 
-        struct HostState {
-            hist: LatencyHistogram,
-            resp_sum_us: f64,
-            completed: u64,
-            failed: bool,
-        }
-        let mut host = HostState {
-            hist: LatencyHistogram::new(),
-            resp_sum_us: 0.0,
-            completed: 0,
-            failed: false,
-        };
-        // Harvest every posted completion; returns true on progress.
-        fn harvest(pairs: &[QueuePair<IoRequest, OpenLoopCqe>], host: &mut HostState) -> bool {
-            let mut progress = false;
-            for pair in pairs {
-                while let Some(cqe) = pair.cq.try_pop() {
-                    progress = true;
-                    match cqe {
-                        OpenLoopCqe::Done(resp_us) => {
-                            host.hist.record(resp_us);
-                            host.resp_sum_us += resp_us;
-                            host.completed += 1;
-                        }
-                        OpenLoopCqe::Failed => host.failed = true,
-                    }
-                }
-            }
-            progress
-        }
-
-        let mut requests = 0u64;
-        let mut sub_requests = 0u64;
-        let mut backlog_peak = 0u64;
-        let mut wall_us = 0.0f64;
-
-        let joined: Vec<(Ssd<F>, Result<()>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .enumerate()
-                .map(|(i, ssd)| {
-                    let pair = &pairs[i];
-                    std::thread::Builder::new()
-                        .name(format!("ftl-ol-shard-{i}"))
-                        .spawn_scoped(scope, move || open_loop_worker(ssd, pair, epoch))
-                        .expect("spawn open-loop worker")
-                })
-                .collect();
-
-            // Host side: pace by the wall clock, split due requests into
-            // per-shard backlogs, feed the submission queues, harvest.
-            let mut backlog: Vec<VecDeque<IoRequest>> = (0..n).map(|_| VecDeque::new()).collect();
-            let drain = |backlog: &mut Vec<VecDeque<IoRequest>>| {
-                for (queue, pair) in backlog.iter_mut().zip(&pairs) {
-                    while let Some(&req) = queue.front() {
-                        if pair.sq.try_push(req).is_ok() {
-                            queue.pop_front();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            };
-
-            for req in fixed_rate(trace, opts.offered_rps) {
-                let due_us = req.arrival_us;
-                loop {
-                    harvest(&pairs, &mut host);
-                    drain(&mut backlog);
-                    let now_us = epoch.elapsed().as_secs_f64() * 1e6;
-                    if now_us >= due_us {
-                        break;
-                    }
-                    // Sleep in bounded chunks so completions keep being
-                    // harvested; close to the deadline, yield instead
-                    // (the OS timer is ~50 µs-grained). Oversleep is
-                    // harmless: late requests submit in a catch-up
-                    // burst and their latency is still measured from
-                    // the schedule.
-                    let remaining = due_us - now_us;
-                    if remaining > 150.0 {
-                        std::thread::sleep(Duration::from_micros(
-                            remaining.min(500.0) as u64 - 100,
-                        ));
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                if host.failed {
-                    break;
-                }
-                splitter.split(&req, |shard, sub| {
-                    backlog[shard as usize].push_back(sub);
-                    sub_requests += 1;
-                });
-                requests += 1;
-                drain(&mut backlog);
-                let queued: u64 = backlog.iter().map(|q| q.len() as u64).sum();
-                backlog_peak = backlog_peak.max(queued);
-            }
-
-            // Flush the backlog (overload tail), then close and drain.
-            while !host.failed && backlog.iter().any(|q| !q.is_empty()) {
-                drain(&mut backlog);
-                if !harvest(&pairs, &mut host) {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-            for pair in &pairs {
-                pair.sq.close();
-            }
-            loop {
-                harvest(&pairs, &mut host);
-                if pairs.iter().all(|p| p.cq.is_closed() && p.cq.is_empty()) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(50));
-            }
-            wall_us = epoch.elapsed().as_secs_f64() * 1e6;
-
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("open-loop worker panicked"))
-                .collect()
-        });
-
-        self.last_doorbells = pairs
-            .iter()
-            .map(QueuePair::doorbell_stats)
-            .fold(DoorbellStats::default(), DoorbellStats::merge);
-
-        let mut first_err = None;
-        let mut ssds = Vec::with_capacity(n);
-        for (ssd, res) in joined {
-            if let (Err(e), None) = (res, &first_err) {
-                first_err = Some(e);
-            }
-            ssds.push(ssd);
-        }
-        self.shards = ssds;
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-
-        debug_assert_eq!(host.completed, sub_requests);
+        debug_assert_eq!(host.completed, host.sub_requests);
         Ok(OpenLoopReport {
             offered_rps: opts.offered_rps,
-            requests,
-            sub_requests,
-            wall_us,
-            achieved_rps: if wall_us > 0.0 {
-                requests as f64 * 1e6 / wall_us
+            requests: host.requests,
+            sub_requests: host.sub_requests,
+            wall_us: host.wall_us,
+            achieved_rps: if host.wall_us > 0.0 {
+                host.requests as f64 * 1e6 / host.wall_us
             } else {
                 0.0
             },
@@ -611,10 +400,70 @@ impl<F: Ftl + Send> ShardedSsd<F> {
             resp_p50_us: host.hist.quantile(0.5),
             resp_p99_us: host.hist.quantile(0.99),
             resp_p999_us: host.hist.p999(),
-            backlog_peak,
+            backlog_peak: host.backlog_peak,
             doorbells: self.last_doorbells,
             report: self.report(),
         })
+    }
+
+    /// The one driver behind both loops: runs one worker thread per shard
+    /// behind its own queue pair (ring depths `sq_depth`, `cq_depth`)
+    /// while `host` submits and harvests on the calling thread, then
+    /// takes the shards back, records the doorbell totals, and returns
+    /// the first shard error in shard order, else `host`'s result. Each
+    /// submission entry is a run of requests; its completion entry is
+    /// `complete(entry, served_ok)`.
+    fn drive<S, C, R>(
+        &mut self,
+        sq_depth: usize,
+        cq_depth: usize,
+        complete: impl Fn(&S, bool) -> C + Sync,
+        host: impl FnOnce(&[QueuePair<S, C>]) -> R,
+    ) -> Result<R>
+    where
+        S: AsRef<[IoRequest]> + Send,
+        C: Send,
+    {
+        let pairs: Vec<QueuePair<S, C>> = self
+            .shards
+            .iter()
+            .map(|_| QueuePair::new(sq_depth, cq_depth))
+            .collect();
+        let shards = std::mem::take(&mut self.shards);
+        let complete = &complete;
+
+        let (joined, out) = std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .into_iter()
+                .zip(&pairs)
+                .enumerate()
+                .map(|(i, (ssd, pair))| {
+                    std::thread::Builder::new()
+                        .name(format!("ftl-shard-{i}"))
+                        .spawn_scoped(scope, move || shard_worker(ssd, pair, complete))
+                        .expect("spawn shard worker")
+                })
+                .collect();
+            let out = host(&pairs);
+            let joined: Vec<(Ssd<F>, Result<()>)> = handles
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked"))
+                .collect();
+            (joined, out)
+        });
+
+        self.last_doorbells = pairs
+            .iter()
+            .map(QueuePair::doorbell_stats)
+            .fold(DoorbellStats::default(), DoorbellStats::merge);
+        let mut result = Ok(out);
+        for (ssd, res) in joined {
+            if let (Err(e), Ok(_)) = (res, &result) {
+                result = Err(e);
+            }
+            self.shards.push(ssd);
+        }
+        result
     }
 
     /// The measurements accumulated so far, merged in shard order.
@@ -640,69 +489,188 @@ impl<F: Ftl + Send> ShardedSsd<F> {
     }
 }
 
-/// Drains every closed-loop completion queue, noting failures.
-fn harvest_batches(pairs: &[QueuePair<Vec<IoRequest>, BatchDone>], failed: &mut bool) {
+/// Pops every posted completion into `on`; returns whether any was posted.
+fn harvest<S, C>(pairs: &[QueuePair<S, C>], mut on: impl FnMut(C)) -> bool {
+    let mut progress = false;
     for pair in pairs {
-        while let Some(done) = pair.cq.try_pop() {
-            if done.failed {
-                *failed = true;
+        while let Some(cqe) = pair.cq.try_pop() {
+            progress = true;
+            on(cqe);
+        }
+    }
+    progress
+}
+
+/// The closed-loop host: route every request, batch per shard, push full
+/// batches, and harvest whatever completions have posted meanwhile
+/// (`true` = batch served); stop submitting after a failure.
+fn submit_batches(
+    pairs: &[QueuePair<Vec<IoRequest>, bool>],
+    splitter: ShardSplitter,
+    trace: impl IntoIterator<Item = IoRequest>,
+) {
+    let mut failed = false;
+    let mut pending: Vec<Vec<IoRequest>> = pairs
+        .iter()
+        .map(|_| Vec::with_capacity(BATCH_REQUESTS))
+        .collect();
+    for req in trace {
+        harvest(pairs, |ok| failed |= !ok);
+        if failed {
+            break;
+        }
+        splitter.split(&req, |shard, sub| pending[shard as usize].push(sub));
+        for (batch, pair) in pending.iter_mut().zip(pairs) {
+            if batch.len() >= BATCH_REQUESTS {
+                let full = std::mem::replace(batch, Vec::with_capacity(BATCH_REQUESTS));
+                // When the submission queue is full the push keeps
+                // harvesting (the worker may be parked behind a full
+                // completion queue) and parks with a timeout instead of
+                // spinning.
+                pair.sq.push_yielding(full, || {
+                    harvest(pairs, |ok| failed |= !ok);
+                });
             }
         }
     }
+    for (batch, pair) in pending.iter_mut().zip(pairs) {
+        if !batch.is_empty() {
+            pair.sq.push_yielding(std::mem::take(batch), || {
+                harvest(pairs, |ok| failed |= !ok);
+            });
+        }
+        pair.sq.close();
+    }
+    // Final harvest, shard by shard: `pop_blocking` returns `None`
+    // exactly when a worker closed its completion queue after draining
+    // its submissions, and `CQ_BATCHES` slots are enough for every
+    // outstanding batch, so no worker can block while the host sleeps
+    // here.
+    for pair in pairs {
+        while pair.cq.pop_blocking().is_some() {}
+    }
 }
 
-/// One shard's closed-loop worker: serve batches until the submission
-/// queue closes, posting one completion entry per batch. On a serve
-/// error the worker posts a failed completion (telling the host to stop
-/// submitting), then keeps draining without serving so the bounded queue
-/// never wedges the producer.
-fn shard_worker<F: Ftl + Send>(
+/// What the open-loop host measured on the wall clock.
+#[derive(Default)]
+struct Paced {
+    hist: LatencyHistogram,
+    resp_sum_us: f64,
+    completed: u64,
+    failed: bool,
+    requests: u64,
+    sub_requests: u64,
+    backlog_peak: u64,
+    wall_us: f64,
+}
+
+/// The open-loop host: release each request no earlier than its scheduled
+/// arrival (on the `now_us` clock), split it into unbounded per-shard
+/// backlogs in front of the bounded submission queues, and record each
+/// completion's response (`None` = the shard failed).
+fn submit_paced(
+    pairs: &[QueuePair<[IoRequest; 1], Option<f64>>],
+    splitter: ShardSplitter,
+    schedule: impl Iterator<Item = IoRequest>,
+    now_us: impl Fn() -> f64,
+) -> Paced {
+    let mut host = Paced::default();
+    let mut backlog: Vec<VecDeque<IoRequest>> = pairs.iter().map(|_| VecDeque::new()).collect();
+    let harvest = |host: &mut Paced| {
+        harvest(pairs, |cqe| match cqe {
+            Some(resp_us) => {
+                host.hist.record(resp_us);
+                host.resp_sum_us += resp_us;
+                host.completed += 1;
+            }
+            None => host.failed = true,
+        })
+    };
+    let drain = |backlog: &mut Vec<VecDeque<IoRequest>>| {
+        for (queue, pair) in backlog.iter_mut().zip(pairs) {
+            while let Some(&req) = queue.front() {
+                if pair.sq.try_push([req]).is_err() {
+                    break;
+                }
+                queue.pop_front();
+            }
+        }
+    };
+
+    for req in schedule {
+        loop {
+            harvest(&mut host);
+            drain(&mut backlog);
+            let remaining = req.arrival_us - now_us();
+            if remaining <= 0.0 {
+                break;
+            }
+            // Sleep in bounded chunks so completions keep being
+            // harvested; close to the deadline, yield instead (the OS
+            // timer is ~50 µs-grained). Oversleep is harmless: late
+            // requests submit in a catch-up burst and their latency is
+            // still measured from the schedule.
+            if remaining > 150.0 {
+                std::thread::sleep(Duration::from_micros(remaining.min(500.0) as u64 - 100));
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        if host.failed {
+            break;
+        }
+        splitter.split(&req, |shard, sub| {
+            backlog[shard as usize].push_back(sub);
+            host.sub_requests += 1;
+        });
+        host.requests += 1;
+        drain(&mut backlog);
+        let queued: u64 = backlog.iter().map(|q| q.len() as u64).sum();
+        host.backlog_peak = host.backlog_peak.max(queued);
+    }
+
+    // Flush the backlog (overload tail), then close and drain.
+    while !host.failed && backlog.iter().any(|q| !q.is_empty()) {
+        drain(&mut backlog);
+        if !harvest(&mut host) {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+    for pair in pairs {
+        pair.sq.close();
+    }
+    loop {
+        harvest(&mut host);
+        if pairs.iter().all(|p| p.cq.is_closed() && p.cq.is_empty()) {
+            break;
+        }
+        std::thread::sleep(Duration::from_micros(50));
+    }
+    host.wall_us = now_us();
+    host
+}
+
+/// One shard's worker: serve each submission entry's requests until the
+/// submission queue closes, posting one completion entry per submission.
+/// After a serve error the worker posts failed completions (telling the
+/// host to stop submitting) and keeps draining without serving, so the
+/// bounded queue never wedges the producer.
+fn shard_worker<F: Ftl + Send, S: AsRef<[IoRequest]>, C>(
     mut ssd: Ssd<F>,
-    pair: &QueuePair<Vec<IoRequest>, BatchDone>,
+    pair: &QueuePair<S, C>,
+    complete: &impl Fn(&S, bool) -> C,
 ) -> (Ssd<F>, Result<()>) {
     let mut result = Ok(());
-    while let Some(batch) = pair.sq.pop_blocking() {
-        let mut done = BatchDone { failed: false };
+    while let Some(entry) = pair.sq.pop_blocking() {
         if result.is_ok() {
-            for req in &batch {
+            for req in entry.as_ref() {
                 if let Err(e) = ssd.serve(req) {
                     result = Err(e);
-                    done.failed = true;
                     break;
                 }
             }
         }
-        pair.cq.push_blocking(done);
-    }
-    pair.cq.close();
-    (ssd, result)
-}
-
-/// One shard's open-loop worker: serve individual requests, posting each
-/// completion with its wall-clock response time measured against the
-/// request's scheduled arrival.
-fn open_loop_worker<F: Ftl + Send>(
-    mut ssd: Ssd<F>,
-    pair: &QueuePair<IoRequest, OpenLoopCqe>,
-    epoch: Instant,
-) -> (Ssd<F>, Result<()>) {
-    let mut result = Ok(());
-    while let Some(req) = pair.sq.pop_blocking() {
-        let cqe = if result.is_ok() {
-            match ssd.serve(&req) {
-                Ok(_) => {
-                    let now_us = epoch.elapsed().as_secs_f64() * 1e6;
-                    OpenLoopCqe::Done((now_us - req.arrival_us).max(0.0))
-                }
-                Err(e) => {
-                    result = Err(e);
-                    OpenLoopCqe::Failed
-                }
-            }
-        } else {
-            OpenLoopCqe::Failed
-        };
-        pair.cq.push_blocking(cqe);
+        pair.cq.push_blocking(complete(&entry, result.is_ok()));
     }
     pair.cq.close();
     (ssd, result)
@@ -842,6 +810,52 @@ mod tests {
         assert!(m.resp_p999_us >= m.resp_p99_us);
         assert!(m.resp_p99_us >= m.resp_p50_us);
         assert!(hist.total() > 0);
+    }
+
+    #[test]
+    fn unsplittable_shard_counts_are_typed_errors() {
+        let config = tp_config();
+        let invalid = Some(FtlError::Flash(FlashError::InvalidGeometry));
+        for n in [0, 3, 6, 1 << 20] {
+            assert_eq!(ShardedSsd::new(&config, n, build_tp).err(), invalid, "{n}");
+        }
+        let shard_config = config.shard_config(4);
+        let shards = (0..3)
+            .map(|s| Ssd::new(build_tp(s, &shard_config).unwrap(), shard_config.clone()).unwrap())
+            .collect();
+        assert_eq!(ShardedSsd::from_shards(shards).err(), invalid);
+        assert_eq!(ShardedSsd::<TpFtl>::from_shards(Vec::new()).err(), invalid);
+    }
+
+    #[test]
+    fn from_shards_runs_devices_built_like_single_queue_ones() {
+        let shard_config = tp_config().shard_config(2);
+        let build = || {
+            Ssd::new(build_tp(0, &shard_config).unwrap(), shard_config.clone())
+                .unwrap()
+                .with_write_buffer(16)
+        };
+        let trace: Vec<IoRequest> = spec(600).iter(4).collect();
+        let mut sharded = ShardedSsd::from_shards(vec![build(), build()]).unwrap();
+        let report = sharded.run(trace.iter().copied()).unwrap();
+
+        // Each shard serves its projection of the trace exactly as a
+        // standalone device with the same buffer would.
+        let mut alone = [build(), build()];
+        let splitter = ShardSplitter::new(2, PAGE_BYTES);
+        for req in &trace {
+            splitter.split(req, |s, sub| {
+                alone[s as usize].serve(&sub).unwrap();
+            });
+        }
+        let shards = sharded.into_shards();
+        assert_eq!(shards.len(), 2);
+        for ((shard, single), r) in shards.iter().zip(&alone).zip(&report.per_shard) {
+            assert_eq!(single.report(), *r);
+            assert_eq!(shard.report(), *r);
+            assert_eq!(shard.buffer_stats(), single.buffer_stats());
+            assert!(shard.buffer_stats().unwrap().write_inserted > 0);
+        }
     }
 
     #[test]

@@ -1,4 +1,12 @@
-//! The simulated SSD: an FTL + environment + FIFO timing model.
+//! The simulated SSD: an FTL + environment + the channel/way unit-clock
+//! timing model, the simulator's only clock.
+//!
+//! Requests are served in arrival order; each one starts at
+//! `max(arrival, previous completion)` and its page accesses run as
+//! independent op chains over the device's channel/way units
+//! (`tpftl_flash::UnitClocks`). The request's response time — queuing
+//! included, the metric of the paper's Figure 6(e) — is its slowest
+//! chain's completion minus its arrival.
 
 use tpftl_core::driver;
 use tpftl_core::env::SsdEnv;
@@ -38,13 +46,8 @@ pub struct Ssd<F: Ftl> {
     env: SsdEnv,
     sampler: Option<CacheSampler>,
     buffer: Option<WriteBuffer>,
-    /// Time at which the device becomes idle.
-    device_free_us: f64,
-    response_sum_us: f64,
-    responses: u64,
-    /// Unit-clock model: completion time of the previous request (requests
-    /// are still served in arrival order, but their flash ops spread over
-    /// the channel/way units).
+    /// Completion time of the previous request (requests are served in
+    /// order, but their flash ops spread over the channel/way units).
     sim_free_us: f64,
     /// Sum of per-request simulated busy spans (completion − start).
     sim_span_us: f64,
@@ -54,22 +57,8 @@ pub struct Ssd<F: Ftl> {
 
 impl<F: Ftl> Ssd<F> {
     /// Builds and bootstraps (pre-fill + format + stats reset) an SSD.
-    pub fn new(mut ftl: F, config: SsdConfig) -> Result<Self> {
-        let mut env = SsdEnv::new(config)?;
-        driver::bootstrap(&mut ftl, &mut env)?;
-        Ok(Self {
-            ftl,
-            env,
-            sampler: None,
-            buffer: None,
-            device_free_us: 0.0,
-            response_sum_us: 0.0,
-            responses: 0,
-            sim_free_us: 0.0,
-            sim_span_us: 0.0,
-            sim_resp_sum_us: 0.0,
-            sim_hist: LatencyHistogram::new(),
-        })
+    pub fn new(ftl: F, config: SsdConfig) -> Result<Self> {
+        Self::boot(ftl, SsdEnv::new(config)?)
     }
 
     /// Like [`Ssd::new`], but bootstraps on a prebuilt flash device —
@@ -77,17 +66,17 @@ impl<F: Ftl> Ssd<F> {
     /// so the whole run (including bootstrap) is mirrored to the device
     /// file. The device must be fully erased and match `config`'s
     /// geometry.
-    pub fn with_flash(mut ftl: F, config: SsdConfig, flash: tpftl_flash::Flash) -> Result<Self> {
-        let mut env = SsdEnv::with_flash(config, flash)?;
+    pub fn with_flash(ftl: F, config: SsdConfig, flash: tpftl_flash::Flash) -> Result<Self> {
+        Self::boot(ftl, SsdEnv::with_flash(config, flash)?)
+    }
+
+    fn boot(mut ftl: F, mut env: SsdEnv) -> Result<Self> {
         driver::bootstrap(&mut ftl, &mut env)?;
         Ok(Self {
             ftl,
             env,
             sampler: None,
             buffer: None,
-            device_free_us: 0.0,
-            response_sum_us: 0.0,
-            responses: 0,
             sim_free_us: 0.0,
             sim_span_us: 0.0,
             sim_resp_sum_us: 0.0,
@@ -171,13 +160,12 @@ impl<F: Ftl> Ssd<F> {
     /// (queuing + service).
     pub fn serve(&mut self, req: &IoRequest) -> Result<f64> {
         self.env.stats.requests += 1;
-        let busy_before = self.env.flash().stats().busy_us;
 
-        // Unit-clock timing: the request starts once it arrives and the
-        // previous request completed (requests are served in order). Each
-        // of its page accesses is an independent dependency chain from that
-        // start, so accesses that land on different channel/way units
-        // overlap; the request completes when its slowest chain does.
+        // The request starts once it arrives and the previous request
+        // completed (requests are served in order). Each of its page
+        // accesses is an independent dependency chain from that start, so
+        // accesses that land on different channel/way units overlap; the
+        // request completes when its slowest chain does.
         let sim_start = req.arrival_us.max(self.sim_free_us);
         let mut sim_done = sim_start;
 
@@ -227,18 +215,7 @@ impl<F: Ftl> Ssd<F> {
         self.sim_resp_sum_us += sim_response;
         self.sim_span_us += sim_done - sim_start;
         self.sim_hist.record(sim_response);
-
-        // FIFO timing: the device serves one request at a time; service
-        // time is the flash busy time this request induced (translation,
-        // data access, GC).
-        let service = self.env.flash().stats().busy_us - busy_before;
-        let start = req.arrival_us.max(self.device_free_us);
-        let completion = start + service;
-        self.device_free_us = completion;
-        let response = completion - req.arrival_us;
-        self.response_sum_us += response;
-        self.responses += 1;
-        Ok(response)
+        Ok(sim_response)
     }
 
     /// The histogram of simulated response times (for shard merging).
@@ -259,6 +236,12 @@ impl<F: Ftl> Ssd<F> {
 
     /// The measurements accumulated so far.
     pub fn report(&self) -> RunReport {
+        let responses = self.sim_hist.total();
+        let resp_avg_us = if responses == 0 {
+            0.0
+        } else {
+            self.sim_resp_sum_us / responses as f64
+        };
         RunReport {
             ftl: self.ftl.name(),
             ftl_stats: {
@@ -271,11 +254,7 @@ impl<F: Ftl> Ssd<F> {
             },
             flash: self.env.flash().stats().clone(),
             gc: self.env.gc_stats.clone(),
-            avg_response_us: if self.responses == 0 {
-                0.0
-            } else {
-                self.response_sum_us / self.responses as f64
-            },
+            avg_response_us: resp_avg_us,
             cached_entries: self.ftl.cached_entries(),
             cache_bytes_used: self.ftl.cache_bytes_used(),
             cache_bytes_total: self.env.config().cache_bytes,
@@ -286,11 +265,7 @@ impl<F: Ftl> Ssd<F> {
                     ways: topo.ways,
                     device_us: self.sim_span_us,
                     makespan_us: self.env.flash().sim_device_done_us(),
-                    resp_avg_us: if self.responses == 0 {
-                        0.0
-                    } else {
-                        self.sim_resp_sum_us / self.responses as f64
-                    },
+                    resp_avg_us,
                     resp_p50_us: self.sim_hist.p50(),
                     resp_p99_us: self.sim_hist.p99(),
                     resp_p999_us: self.sim_hist.p999(),
@@ -336,9 +311,10 @@ mod tests {
             .serve(&IoRequest::new(10_000.0, 0, 4096, Dir::Read))
             .unwrap();
         assert!((r3 - 25.0).abs() < 1e-9, "r3={r3}");
-        // On the default 1-channel/1-way topology the unit-clock model
-        // reproduces the FIFO numbers exactly.
-        let sim = ssd.report().sim;
+        // The report's aggregates come from the same clock.
+        let report = ssd.report();
+        let sim = report.sim;
+        assert_eq!(report.avg_response_us.to_bits(), sim.resp_avg_us.to_bits());
         assert_eq!(sim.channels, 1);
         assert_eq!(sim.ways, 1);
         assert!((sim.resp_avg_us - (200.0 + 400.0 + 25.0) / 3.0).abs() < 1e-9);
@@ -364,15 +340,15 @@ mod tests {
         };
         let serial = run(&serial_cfg);
         let wide = run(&wide_cfg);
-        // The timing model is observation-only: op sequence, counters and
-        // the FIFO response metric are bit-identical across topologies.
+        // The timing model is observation-only: op sequence and counters
+        // are bit-identical across topologies, and the response metric is
+        // the unit clock's on both.
         assert_eq!(serial.ftl_stats, wide.ftl_stats);
         assert_eq!(serial.flash, wide.flash);
         assert_eq!(serial.gc, wide.gc);
-        assert_eq!(
-            serial.avg_response_us.to_bits(),
-            wide.avg_response_us.to_bits()
-        );
+        for r in [&serial, &wide] {
+            assert_eq!(r.avg_response_us.to_bits(), r.sim.resp_avg_us.to_bits());
+        }
         // Independent units overlap: simulated device time and latency
         // can only improve.
         assert_eq!(wide.sim.channels, 4);
